@@ -25,6 +25,9 @@
 #   edge           edge-cache smoke: zero-re-encode hit path, two-cell
 #                  roaming handoff, eviction under a tiny budget; folds
 #                  the edge section into BENCH_proxy.json
+#   mrtbench       daemon benchmark smoke: all four workloads for 1 s
+#                  each with the payload oracle on; fails on any wrong
+#                  or stale fetch
 #   bench          erasure-codec sweep (quick mode) -> BENCH_erasure.json
 #   bench-gate     compare fresh BENCH_*.json against BENCH_BASELINE.json
 #   miri           cargo miri test on the concurrency-bearing crates
@@ -40,7 +43,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt analysis clippy tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge bench bench-gate miri tsan"
+ALL_STAGES="fmt analysis clippy tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
 
 run_bench=1
 quick=0
@@ -246,6 +249,13 @@ stage_edge() {
     || { echo "BENCH_proxy.json has no edge section" >&2; return 1; }
 }
 
+stage_mrtbench() {
+  echo "==> mrtbench smoke: hot, cold, lossy, churn with the payload oracle on"
+  # The benchmark is a package of its own; it exits nonzero when any
+  # fetch fails or serves a wrong or superseded payload.
+  cargo run --release --manifest-path examples/mrtbench/Cargo.toml -- run --smoke
+}
+
 stage_bench() {
   if [ "$run_bench" -ne 1 ]; then
     echo "==> bench smoke skipped (--no-bench)"
@@ -321,6 +331,7 @@ for stage in $stages; do
     proxy-smoke) stage_proxy_smoke ;;
     broadcast) stage_broadcast ;;
     edge) stage_edge ;;
+    mrtbench) stage_mrtbench ;;
     bench) stage_bench ;;
     bench-gate) stage_bench_gate ;;
     miri) stage_miri ;;

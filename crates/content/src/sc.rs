@@ -15,11 +15,8 @@ use mrtweb_docmodel::unit::UnitPath;
 use mrtweb_textproc::index::DocumentIndex;
 use serde::{Deserialize, Serialize};
 
-use crate::ic::InformationContent;
-use crate::mqic::ModifiedQueryContent;
-use crate::qic::QueryContent;
 use crate::query::Query;
-use crate::scores::ContentScores;
+use crate::weights::keyword_weight;
 
 /// Which content measure orders the transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -99,49 +96,138 @@ pub struct StructuralCharacteristic {
     entries: Vec<ScEntry>,
 }
 
+/// The per-keyword factors of the three measures, computed once per
+/// distinct stem of the document.
+#[derive(Debug, Clone, Copy)]
+struct StemWeights {
+    /// `ω_a`.
+    doc: f64,
+    /// `ω^Q_a`.
+    query: f64,
+    /// `ω_a + λ·ω^Q_a`.
+    combined: f64,
+}
+
+impl StemWeights {
+    fn new(stem: &str, doc_count: u64, max: u64, query: &Query, lambda: f64) -> Self {
+        let doc = keyword_weight(doc_count, max);
+        let query = query.weight(stem);
+        StemWeights {
+            doc,
+            query,
+            combined: doc + lambda * query,
+        }
+    }
+
+    /// The IC, QIC and MQIC terms of `n` occurrences, evaluated exactly
+    /// as [`crate::ic`], [`crate::qic`] and [`crate::mqic`] write them.
+    fn terms(self, n: u64) -> [f64; 3] {
+        let n = n as f64;
+        let nw = n * self.doc;
+        [nw, nw * self.query, n * self.combined]
+    }
+}
+
+/// Column-wise sums of term triples, each column folded left to right
+/// from the value `Iterator::sum` starts at. Every column is therefore
+/// bit-identical to summing it alone with `.sum()`, down to the sign of
+/// an empty sum — which `rank` and the planner see through `total_cmp`.
+fn column_sums(terms: impl Iterator<Item = [f64; 3]>) -> [f64; 3] {
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    terms.fold([zero; 3], |acc, t| {
+        [acc[0] + t[0], acc[1] + t[1], acc[2] + t[2]]
+    })
+}
+
 impl StructuralCharacteristic {
     /// Builds the SC from a logical index, with an optional query for
     /// the QIC/MQIC columns.
+    ///
+    /// One pass: the keyword weights are computed once per distinct
+    /// stem, each unit's own IC, QIC and MQIC come from one walk over
+    /// its postings, and each subtree column sums the contiguous
+    /// preorder run of the unit and its descendants. Every value is
+    /// bit-identical to composing [`InformationContent`],
+    /// [`QueryContent`] and [`ModifiedQueryContent`] with
+    /// [`ContentScores::subtree_at`] — the paper's definitions, which
+    /// the property tests keep as the oracle.
+    ///
+    /// [`InformationContent`]: crate::ic::InformationContent
+    /// [`QueryContent`]: crate::qic::QueryContent
+    /// [`ModifiedQueryContent`]: crate::mqic::ModifiedQueryContent
+    /// [`ContentScores::subtree_at`]: crate::scores::ContentScores::subtree_at
     pub fn from_index(index: &DocumentIndex, query: Option<&Query>) -> Self {
-        let ic: ContentScores = InformationContent::from_index(index).into();
-        let (qic, mqic): (ContentScores, ContentScores) = match query {
-            Some(q) => (
-                QueryContent::from_index(index, q).into(),
-                ModifiedQueryContent::from_index(index, q).into(),
-            ),
-            None => (
-                ContentScores::new(
-                    ic.scores()
-                        .iter()
-                        .map(|s| crate::scores::UnitScore {
-                            own: 0.0,
-                            ..s.clone()
-                        })
-                        .collect(),
-                ),
-                ic.clone(),
-            ),
+        // No query is the empty query: every ω^Q_a is 0, so QIC is 0
+        // everywhere and MQIC (λ = 0) reduces to IC term for term.
+        let no_query = Query::new();
+        let query = query.unwrap_or(&no_query);
+        let max = index.max_count().max(1);
+        let lambda = if query.total_occurrences() > 0 {
+            index.total_occurrences() as f64 / query.total_occurrences() as f64
+        } else {
+            0.0
         };
-        // Subtree bytes per entry.
-        let entries = index
-            .entries()
+        let stems: Vec<&str> = index.totals().keys().map(String::as_str).collect();
+        let weights: Vec<StemWeights> = index
+            .totals()
+            .iter()
+            .map(|(stem, &n)| StemWeights::new(stem, n, max, query, lambda))
+            .collect();
+        let denom = column_sums(
+            weights
+                .iter()
+                .zip(index.totals().values())
+                .map(|(w, &n)| w.terms(n)),
+        );
+
+        let units = index.entries();
+        let own: Vec<[f64; 3]> = units
             .iter()
             .map(|e| {
-                let bytes: usize = index
-                    .entries()
-                    .iter()
-                    .filter(|d| e.path.is_prefix_of(&d.path))
-                    .map(|d| d.own_bytes)
-                    .sum();
+                // A unit's stems are sorted like the totals: merge-walk.
+                let mut at = 0;
+                let num = column_sums(e.counts.iter().map(|(stem, &n)| {
+                    while stems.get(at).is_some_and(|s| *s < stem.as_str()) {
+                        at += 1;
+                    }
+                    let w = match stems.get(at) {
+                        Some(s) if *s == stem => weights[at],
+                        // Not reached: the totals are summed from the units.
+                        _ => StemWeights::new(stem, 0, max, query, lambda),
+                    };
+                    w.terms(n)
+                }));
+                std::array::from_fn(|c| {
+                    if denom[c] > 0.0 {
+                        num[c] / denom[c]
+                    } else {
+                        0.0
+                    }
+                })
+            })
+            .collect();
+
+        let entries = units
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                // Preorder: the descendants directly follow the unit.
+                let end = i
+                    + 1
+                    + units[i + 1..]
+                        .iter()
+                        .take_while(|d| e.path.is_prefix_of(&d.path))
+                        .count();
+                let [ic, qic, mqic] = column_sums(own[i..end].iter().copied());
                 ScEntry {
                     path: e.path.clone(),
                     kind: e.kind,
                     synthetic: e.synthetic,
                     title: e.title.clone(),
-                    ic: ic.subtree_at(&e.path),
-                    qic: qic.subtree_at(&e.path),
-                    mqic: mqic.subtree_at(&e.path),
-                    bytes,
+                    ic,
+                    qic,
+                    mqic,
+                    bytes: units[i..end].iter().map(|d| d.own_bytes).sum(),
                 }
             })
             .collect();

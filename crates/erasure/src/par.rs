@@ -11,13 +11,17 @@
 //!   redundancy rows are independent linear combinations of the shared
 //!   clear-text prefix ([`encode_into_parallel`]).
 //!
-//! Workers are plain [`std::thread::scope`] threads: dispersal work
-//! items are large (whole packets/groups), so thread-spawn cost is
-//! amortized and no pool or external runtime is needed. Every function
-//! here is bit-identical to its serial counterpart — the property tests
-//! in `tests/prop_ida.rs` prove it — and with `threads == 1` the serial
+//! Workers are plain [`std::thread::scope`] threads, spawned on every
+//! call. A spawn costs more than a whole encode at the paper shape
+//! (M = 40, N = 60, 256-byte packets: 8–15 µs serial against 78–92 µs
+//! over two threads on a 2-vCPU Xeon VM), so fanning out pays only for
+//! work far larger than one such group, and the serving path
+//! (`LiveServer::new`) encodes serially. Every function here is
+//! bit-identical to its serial counterpart — the property tests in
+//! `tests/prop_ida.rs` prove it — and with `threads == 1` the serial
 //! code path runs unchanged, so single-core hosts pay nothing.
 
+use std::sync::OnceLock;
 use std::thread;
 
 use mrtweb_obs::{EventKind, Span};
@@ -27,10 +31,18 @@ use crate::Error;
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism, capped so tiny work items don't drown in spawn cost.
+///
+/// Read once per process: `available_parallelism` re-reads the cgroup
+/// quota files on every call (21–25 µs on a 2-vCPU Xeon VM, more than
+/// a paper-shape encode). A quota changed after the first call goes
+/// unseen.
 pub fn default_threads() -> usize {
-    thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .min(16)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        thread::available_parallelism()
+            .map_or(1, std::num::NonZero::get)
+            .min(16)
+    })
 }
 
 /// Encodes `data` into a flat cooked buffer like [`Codec::encode_into`],

@@ -21,7 +21,7 @@ use mrtweb_transport::plan::plan_document;
 
 use crate::codec::{encode_dispersed, BlobPackets};
 use crate::edge::{EdgeCache, EdgeError, EdgeKey};
-use crate::store::DocumentStore;
+use crate::store::{DocumentStore, Snapshot};
 
 /// A transmission request.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,7 +291,10 @@ impl Gateway {
         }
         // ORDERING: same monitoring tally as the hit counter above.
         self.prepared_misses.fetch_add(1, Ordering::Relaxed);
-        let live = Arc::new(self.prepare(request)?);
+        // Pin the document the frames are cooked from, which a `put`
+        // may already have replaced since the lookup above.
+        let snapshot = self.snapshot(request)?;
+        let live = Arc::new(cook(&snapshot, request)?);
         let mut map = self
             .prepared
             .lock()
@@ -302,7 +305,7 @@ impl Gateway {
             // and keeps the common small-corpus case untouched.
             map.clear();
         }
-        map.insert(key, (doc, Arc::clone(&live)));
+        map.insert(key, (snapshot.document, Arc::clone(&live)));
         Ok(live)
     }
 
@@ -354,16 +357,13 @@ impl Gateway {
         }
         // Miss: cook the dispersed blob once; it is both the at-rest
         // cache entry and the source of this response's frames.
-        let (doc, generation) = self
-            .store
-            .document_with_generation(&request.url)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let query = Query::parse(&request.query, self.store.pipeline());
-        let sc = self
-            .store
-            .structural_characteristic(&request.url, &query)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let (plan, payload) = plan_document(&doc, &sc, request.lod, request.measure);
+        let snapshot = self.snapshot(request)?;
+        let (plan, payload) = plan_document(
+            &snapshot.document,
+            &snapshot.sc,
+            request.lod,
+            request.measure,
+        );
         let m = plan.raw_packets(request.packet_size);
         let n = ((m as f64 * request.gamma).round() as usize).max(m);
         let blob = encode_dispersed(&payload, m, n, request.packet_size).map_err(|_| {
@@ -381,7 +381,7 @@ impl Gateway {
         // response still serves from the blob just cooked; only the
         // cache copy is lost. The cache tallies failures
         // (`EdgeStats::admit_failures`).
-        let _ = edge.admit_from_store(key, header.clone(), &blob, generation);
+        let _ = edge.admit_from_store(key, header.clone(), &blob, snapshot.generation);
         let view =
             BlobPackets::parse(&blob).map_err(|e| GatewayError::Edge(EdgeError::Codec(e)))?;
         let packets = (0..view.n())
@@ -399,24 +399,29 @@ impl Gateway {
     /// [`GatewayError::Encoding`] when the document needs more than 256
     /// cooked packets at the requested packet size.
     pub fn prepare(&self, request: &Request) -> Result<LiveServer, GatewayError> {
-        let doc = self
-            .store
-            .document(&request.url)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let query = Query::parse(&request.query, self.store.pipeline());
-        let sc = self
-            .store
-            .structural_characteristic(&request.url, &query)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        Ok(LiveServer::new(
-            &doc,
-            &sc,
-            request.lod,
-            request.measure,
-            request.packet_size,
-            request.gamma,
-        )?)
+        cook(&self.snapshot(request)?, request)
     }
+
+    /// The store's view of the requested document under the request's
+    /// query: document, SC and generation of one version.
+    fn snapshot(&self, request: &Request) -> Result<Snapshot, GatewayError> {
+        let query = Query::parse(&request.query, self.store.pipeline());
+        self.store
+            .snapshot(&request.url, &query)
+            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))
+    }
+}
+
+/// Plans, encodes and frames one snapshot for a request.
+fn cook(snapshot: &Snapshot, request: &Request) -> Result<LiveServer, GatewayError> {
+    Ok(LiveServer::new(
+        &snapshot.document,
+        &snapshot.sc,
+        request.lod,
+        request.measure,
+        request.packet_size,
+        request.gamma,
+    )?)
 }
 
 #[cfg(test)]
@@ -554,61 +559,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mrtweb-gw-edge-{tag}-{nanos}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn edge_hit_skips_the_codec_and_matches_the_miss_bytes() {
-        let dir = temp_dir("hit");
-        let store = Arc::new(DocumentStore::new(8));
-        store.put(
-            "http://site/paper",
-            Document::parse_xml(
-                "<document><title>Paper</title>\
-                 <section><title>Hot</title>\
-                 <paragraph>mobile wireless browsing content</paragraph></section>\
-                 </document>",
-            )
-            .unwrap(),
-        );
-        let edge = Arc::new(EdgeCache::new(&dir, 1 << 20).unwrap());
-        let gw = Gateway::new(store).with_edge(edge);
-        let req = Request {
-            packet_size: 32,
-            ..Request::new("http://site/paper", "mobile wireless")
-        };
-
-        let session = mrtweb_obs::testkit::capture();
-        let (miss_srv, hit0) = gw.prepare_edge(&req).unwrap();
-        let (hit_srv, hit1) = gw.prepare_edge(&req).unwrap();
-        let trace = session.finish();
-        assert!(!hit0, "first request must miss");
-        assert!(hit1, "second request must hit");
-        let encodes = trace
-            .events
-            .iter()
-            .filter(|e| e.kind == mrtweb_obs::EventKind::EncodeSpan)
-            .count();
-        assert_eq!(encodes, 1, "one document, one encode — hits re-frame");
-
-        // A hit serves byte-identical frames to the miss that cooked it.
-        assert_eq!(miss_srv.header(), hit_srv.header());
-        for i in 0..miss_srv.header().n {
-            assert_eq!(miss_srv.frame_bytes(i), hit_srv.frame_bytes(i));
-        }
-
-        // And the hit transfers the same document end to end.
-        let report = run_transfer(
-            Arc::try_unwrap(hit_srv).unwrap(),
-            &TransferConfig {
-                alpha: 0.2,
-                seed: 7,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(report.completed);
-        assert!(String::from_utf8_lossy(&report.payload).contains("mobile wireless browsing"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

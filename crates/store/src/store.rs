@@ -21,6 +21,18 @@ pub struct CacheStats {
     pub sc_misses: u64,
 }
 
+/// One version of a stored document with its structural characteristic
+/// under a query, as [`DocumentStore::snapshot`] returns it.
+#[derive(Debug, Clone)]
+pub(crate) struct Snapshot {
+    /// The document.
+    pub(crate) document: Arc<Document>,
+    /// Its structural characteristic under the query.
+    pub(crate) sc: Arc<StructuralCharacteristic>,
+    /// The version's generation (see [`DocumentStore::generation`]).
+    pub(crate) generation: u64,
+}
+
 /// A stored document with its pre-computed logical index.
 #[derive(Debug)]
 struct StoredDoc {
@@ -124,17 +136,6 @@ impl DocumentStore {
         self.docs.read().get(url).map(|s| s.generation)
     }
 
-    /// The document at `url` together with its generation, read under
-    /// one lock — a derived artifact cooked from the returned document
-    /// can stamp itself with a generation that is guaranteed to match
-    /// it, even against a concurrent `put`.
-    pub fn document_with_generation(&self, url: &str) -> Option<(Arc<Document>, u64)> {
-        self.docs
-            .read()
-            .get(url)
-            .map(|s| (Arc::clone(&s.document), s.generation))
-    }
-
     /// Removes a document.
     pub fn remove(&self, url: &str) -> Option<Arc<Document>> {
         self.docs.write().remove(url).map(|s| s.document)
@@ -179,24 +180,44 @@ impl DocumentStore {
         url: &str,
         query: &Query,
     ) -> Option<Arc<StructuralCharacteristic>> {
+        self.snapshot(url, query).map(|s| s.sc)
+    }
+
+    /// The document at `url`, its structural characteristic under
+    /// `query` and its generation, all of one version: a concurrent
+    /// `put` can make the snapshot old, never mixed. Anything cooked
+    /// from it (frames, a stamped edge blob) describes one document.
+    ///
+    /// Returns `None` for unknown URLs.
+    pub(crate) fn snapshot(&self, url: &str, query: &Query) -> Option<Snapshot> {
         let key = canonical_query_key(query);
         // Fast path: read lock, cache hit.
-        {
+        let (document, index, generation) = {
             let docs = self.docs.read();
             let stored = docs.get(url)?;
             if let Some(sc) = stored.sc_cache.get(&key) {
                 self.stats.write().sc_hits += 1;
-                return Some(Arc::clone(sc));
+                return Some(Snapshot {
+                    document: Arc::clone(&stored.document),
+                    sc: Arc::clone(sc),
+                    generation: stored.generation,
+                });
             }
-        }
-        // Slow path: compute outside any lock, then insert.
-        let index = self.index(url)?;
+            (
+                Arc::clone(&stored.document),
+                Arc::clone(&stored.index),
+                stored.generation,
+            )
+        };
+        // Slow path: compute outside any lock, then cache it only in
+        // the version it was computed from — a `put` in between leaves
+        // the new version's cache alone.
         let sc = Arc::new(StructuralCharacteristic::from_index(&index, Some(query)));
         self.stats.write().sc_misses += 1;
         if self.sc_capacity > 0 {
             let mut docs = self.docs.write();
             if let Some(stored) = docs.get_mut(url) {
-                if !stored.sc_cache.contains_key(&key) {
+                if stored.generation == generation && !stored.sc_cache.contains_key(&key) {
                     if stored.sc_order.len() >= self.sc_capacity {
                         let evict = stored.sc_order.remove(0);
                         stored.sc_cache.remove(&evict);
@@ -206,7 +227,11 @@ impl DocumentStore {
                 }
             }
         }
-        Some(sc)
+        Some(Snapshot {
+            document,
+            sc,
+            generation,
+        })
     }
 }
 
@@ -323,6 +348,78 @@ mod tests {
         let s = store_with_doc();
         let q = Query::parse("mobile", s.pipeline());
         assert!(s.structural_characteristic("ghost", &q).is_none());
+    }
+
+    #[test]
+    fn snapshots_never_mix_versions_under_concurrent_puts() {
+        let spec = mrtweb_docmodel::gen::SyntheticDocSpec::default();
+        let versions = [spec.generate(1).document, spec.generate(2).document];
+        let pipeline = ScPipeline::default();
+        let queries: Vec<Query> = [
+            "mobile",
+            "web",
+            "cache",
+            "link",
+            "mobile web",
+            "energy",
+            "query",
+        ]
+        .iter()
+        .map(|q| Query::parse(q, &pipeline))
+        .collect();
+        let expected: Vec<Vec<StructuralCharacteristic>> = versions
+            .iter()
+            .map(|d| {
+                let index = pipeline.run(d);
+                queries
+                    .iter()
+                    .map(|q| StructuralCharacteristic::from_index(&index, Some(q)))
+                    .collect()
+            })
+            .collect();
+        // Room for every query, so a wrongly cached SC gets served.
+        let store = Arc::new(DocumentStore::new(queries.len()));
+        store.put("u", versions[0].clone());
+
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (store, done) = (Arc::clone(&store), Arc::clone(&done));
+            let versions = versions.clone();
+            std::thread::spawn(move || {
+                for i in 1..=500 {
+                    store.put("u", versions[i % 2].clone());
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let mut checked = 0;
+        while !done.load(Ordering::Acquire) || checked < 100 {
+            for (qi, q) in queries.iter().enumerate() {
+                let snap = store.snapshot("u", q).unwrap();
+                let v = usize::from(*snap.document != versions[0]);
+                // Put k stores version k % 2 under generation k.
+                assert_eq!(
+                    snap.generation % 2,
+                    v as u64,
+                    "generation of the other version"
+                );
+                assert!(*snap.sc == expected[v][qi], "SC of the other version");
+                checked += 1;
+            }
+        }
+        writer.join().unwrap();
+
+        // Every cached SC belongs to the index of the entry holding it.
+        let docs = store.docs.read();
+        for stored in docs.values() {
+            for (key, sc) in &stored.sc_cache {
+                let q = queries
+                    .iter()
+                    .find(|q| canonical_query_key(q) == *key)
+                    .unwrap();
+                assert!(**sc == StructuralCharacteristic::from_index(&stored.index, Some(q)));
+            }
+        }
     }
 
     #[test]

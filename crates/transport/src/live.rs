@@ -27,7 +27,6 @@ use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::ida::Codec;
 use mrtweb_erasure::packet::Frame;
-use mrtweb_erasure::par::{default_threads, encode_into_parallel};
 use mrtweb_erasure::Error;
 use mrtweb_obs::{emit, EventKind, Span};
 
@@ -68,10 +67,12 @@ pub enum ClientEvent {
 
 /// The server side: owns the encoded document.
 ///
-/// All `N` cooked packets are encoded once at construction (redundancy
-/// rows fanned across threads) and framed once, so retransmission
-/// rounds replay cached wire bytes instead of redoing GF(2⁸) math and
-/// CRCs per request.
+/// All `N` cooked packets are encoded once at construction and framed
+/// once, so retransmission rounds replay cached wire bytes instead of
+/// redoing GF(2⁸) math and CRCs per request. The encode is serial: at
+/// the paper shape (M = 40, N = 60, 256-byte packets) it takes 8–15 µs
+/// on a 2-vCPU Xeon VM, and fanning its rows over two threads took
+/// 78–92 µs there, nearly all of it thread spawns.
 #[derive(Debug)]
 pub struct LiveServer {
     header: DocumentHeader,
@@ -107,7 +108,7 @@ impl LiveServer {
         // it per session.
         let codec = Codec::shared(m, n, packet_size)?;
         let mut cooked = Vec::new();
-        encode_into_parallel(&codec, &payload, &mut cooked, default_threads());
+        codec.encode_into(&payload, &mut cooked);
         let wire_frames = cooked
             .chunks_exact(packet_size)
             .enumerate()
@@ -849,7 +850,7 @@ mod tests {
         let n = ((m as f64 * 1.5).round() as usize).max(m);
         let codec = Codec::shared(m, n, packet_size).unwrap();
         let mut cooked = Vec::new();
-        encode_into_parallel(&codec, &payload, &mut cooked, default_threads());
+        codec.encode_into(&payload, &mut cooked);
         let mut packets: Vec<Option<Vec<u8>>> = cooked
             .chunks_exact(packet_size)
             .map(|p| Some(p.to_vec()))
