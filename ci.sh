@@ -11,6 +11,8 @@
 #
 #   fmt            cargo fmt --check
 #   analysis       in-tree lint (panic paths, SAFETY comments, layering)
+#   loc            library lines per crate (non-test, non-comment,
+#                  non-blank); a number to track, not a gate
 #   clippy         pedantic clippy, -D warnings
 #   tier1          release build + default-feature test suite
 #   tests          full workspace test sweep (PROPTEST_CASES honored)
@@ -43,7 +45,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt analysis clippy tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
+ALL_STAGES="fmt analysis loc clippy tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
 
 run_bench=1
 quick=0
@@ -90,6 +92,11 @@ stage_fmt() {
 stage_analysis() {
   echo "==> mrtweb-analysis (in-tree lint: panic paths, SAFETY comments, layering)"
   cargo run -q -p mrtweb-analysis -- check
+}
+
+stage_loc() {
+  echo "==> code size: library lines per crate"
+  cargo run -q -p mrtweb-analysis -- loc | sed "s/^/    /"
 }
 
 stage_clippy() {
@@ -322,6 +329,7 @@ for stage in $stages; do
   case "$stage" in
     fmt) stage_fmt ;;
     analysis) stage_analysis ;;
+    loc) stage_loc ;;
     clippy) stage_clippy ;;
     tier1) stage_tier1 ;;
     tests) stage_tests ;;

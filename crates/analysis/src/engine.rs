@@ -81,7 +81,7 @@ fn scan_crate_dirs(
 }
 
 /// Recursively prepares every `.rs` file under `dir`.
-fn collect_tree(
+pub(crate) fn collect_tree(
     root: &Path,
     dir: &Path,
     all_test: bool,

@@ -20,6 +20,7 @@
 //! * [`manifest`] — the declared crate-layering DAG and its checker
 //!   (`layering`), built on a minimal hand-rolled `Cargo.toml` scanner;
 //! * [`engine`] — the workspace walker;
+//! * [`loc`] — code size as a number: library lines per crate;
 //! * [`report`] — findings, text and JSON output;
 //! * [`benchgate`] — the CI performance-regression gate comparing
 //!   fresh `BENCH_*.json` reports against `BENCH_BASELINE.json`
@@ -34,6 +35,7 @@
 pub mod benchgate;
 pub mod engine;
 pub mod lexer;
+pub mod loc;
 pub mod lockgraph;
 pub mod manifest;
 pub mod report;

@@ -3,6 +3,7 @@
 //! ```text
 //! mrtweb-analysis check [--json] [--fix-hints] [--root <dir>]
 //! mrtweb-analysis rules
+//! mrtweb-analysis loc [--root <dir>]
 //! mrtweb-analysis bench-gate [--baseline <file>] [--erasure <file>]
 //!                            [--proxy <file>] [--broadcast <file>]
 //!                            [--tolerance <frac>]
@@ -11,9 +12,10 @@
 //!
 //! Exit status: 0 when the workspace is clean (no unsuppressed
 //! findings / no bench regression), 1 when findings or regressions
-//! remain, 2 on usage or I/O errors.
+//! remain, 2 on usage or I/O errors. `loc` prints library lines per
+//! crate and gates nothing.
 
-use mrtweb_analysis::{analyze, benchgate, find_workspace_root, rules};
+use mrtweb_analysis::{analyze, benchgate, find_workspace_root, loc, rules};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -32,7 +34,7 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "check" | "rules" | "bench-gate" if cmd.is_none() => cmd = Some(arg.clone()),
+            "check" | "rules" | "loc" | "bench-gate" if cmd.is_none() => cmd = Some(arg.clone()),
             "--json" => json = true,
             "--fix-hints" => fix_hints = true,
             "--update-baseline" => update_baseline = true,
@@ -72,6 +74,22 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("check") => run_check(root, json, fix_hints),
+        Some("loc") => {
+            let root = match resolve_root(root) {
+                Ok(r) => r,
+                Err(code) => return code,
+            };
+            match loc::count(&root) {
+                Ok(sizes) => {
+                    print!("{}", loc::render(&sizes));
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("mrtweb-analysis: failed to read workspace: {e}");
+                    ExitCode::from(2)
+                }
+            }
+        }
         Some("bench-gate") => {
             let root = match resolve_root(root) {
                 Ok(r) => r,
@@ -86,7 +104,7 @@ fn main() -> ExitCode {
                 update_baseline,
             )
         }
-        _ => usage("expected a subcommand: `check`, `rules` or `bench-gate`"),
+        _ => usage("expected a subcommand: `check`, `rules`, `loc` or `bench-gate`"),
     }
 }
 
@@ -244,6 +262,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("mrtweb-analysis: {msg}");
     eprintln!("usage: mrtweb-analysis check [--json] [--fix-hints] [--root <dir>]");
     eprintln!("       mrtweb-analysis rules");
+    eprintln!("       mrtweb-analysis loc [--root <dir>]");
     eprintln!("       mrtweb-analysis bench-gate [--baseline <file>] [--erasure <file>]");
     eprintln!("                                  [--proxy <file>] [--broadcast <file>]");
     eprintln!("                                  [--tolerance <frac>]");

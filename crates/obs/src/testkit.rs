@@ -37,7 +37,9 @@ static TIMELINE_LOCK: Mutex<()> = Mutex::new(());
 pub struct CaptureSession {
     was_enabled: bool,
     finished: bool,
-    _guard: MutexGuard<'static, ()>,
+    /// The claim on `TIMELINE_LOCK`; `None` only for a session opened
+    /// by a caller that already holds the lock.
+    _guard: Option<MutexGuard<'static, ()>>,
 }
 
 /// Claims the tracer: takes the process-wide lock, enables tracing, and
@@ -45,19 +47,23 @@ pub struct CaptureSession {
 /// events so the captured timeline holds exactly this session's events.
 pub fn capture() -> CaptureSession {
     let guard = TIMELINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let was_enabled = is_enabled();
-    set_enabled(true);
-    if !was_enabled {
-        let _ = drain(); // start from an empty buffer
-    }
-    CaptureSession {
-        was_enabled,
-        finished: false,
-        _guard: guard,
-    }
+    CaptureSession::begin(Some(guard))
 }
 
 impl CaptureSession {
+    fn begin(guard: Option<MutexGuard<'static, ()>>) -> CaptureSession {
+        let was_enabled = is_enabled();
+        set_enabled(true);
+        if !was_enabled {
+            let _ = drain(); // start from an empty buffer
+        }
+        CaptureSession {
+            was_enabled,
+            finished: false,
+            _guard: guard,
+        }
+    }
+
     /// Stops capturing and returns the causally-ordered timeline
     /// recorded while the session was alive (empty when the `trace`
     /// feature is compiled out).
@@ -79,9 +85,22 @@ impl Drop for CaptureSession {
 
 #[cfg(test)]
 mod tests {
-    use super::capture;
+    use std::sync::{MutexGuard, PoisonError};
+
+    use super::{capture, CaptureSession, TIMELINE_LOCK};
     use crate::event::EventKind;
     use crate::trace::{emit, is_enabled, set_enabled};
+
+    /// Takes the timeline lock, so a test can read and write the
+    /// enable flag with no capture running beside it.
+    fn lock() -> MutexGuard<'static, ()> {
+        TIMELINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A [`capture`] for a caller that already holds the lock.
+    fn capture_holding(_lock: &MutexGuard<'static, ()>) -> CaptureSession {
+        CaptureSession::begin(None)
+    }
 
     #[test]
     fn capture_returns_only_own_events() {
@@ -100,8 +119,9 @@ mod tests {
 
     #[test]
     fn capture_restores_previous_enablement() {
+        let lock = lock();
         set_enabled(false);
-        let session = capture();
+        let session = capture_holding(&lock);
         assert!(is_enabled() || cfg!(not(feature = "trace")));
         let _ = session.finish();
         assert!(!is_enabled());
@@ -109,15 +129,16 @@ mod tests {
 
     #[test]
     fn dropped_session_discards_and_restores() {
+        let lock = lock();
         set_enabled(false);
         {
-            let _session = capture();
+            let _session = capture_holding(&lock);
             emit(EventKind::CrcReject, 1, 0);
         }
         assert!(!is_enabled());
         // A fresh capture starts empty: the dropped session's events
         // were discarded, not leaked into the next timeline.
-        let session = capture();
+        let session = capture_holding(&lock);
         let timeline = session.finish();
         assert!(timeline.events.is_empty());
     }

@@ -1,74 +1,46 @@
 //! The event-driven serving engine: sharded epoll readiness loops.
 //!
-//! The thread-pool engine ([`crate::server`]) parks one OS thread per
-//! session; at base-station populations the pool serializes and
-//! throughput flatlines. This engine replaces parked threads with
-//! **per-connection session state machines** driven by readiness:
+//! The blocking engine ([`crate::server::Server`]) parks one OS thread
+//! per session; at base-station populations the pool serializes and
+//! throughput flatlines. This engine drives the same
+//! `session` state machines from readiness instead:
 //!
-//! * a dedicated **acceptor** thread applies the same admission control
-//!   as the blocking engine (session slots, typed
-//!   [`ErrorCode::Busy`] refusals), then hands each admitted
-//!   connection to one of N **worker event loops** round-robin via an
-//!   intake queue plus an eventfd wakeup;
+//! * the daemon's one **acceptor** applies admission control (session
+//!   slots, typed [`crate::wire::ErrorCode::Busy`] refusals), then
+//!   hands each admitted connection to one of N **worker event loops**
+//!   round-robin via an intake queue plus an eventfd wakeup;
 //! * each worker owns an epoll instance and drives its sessions with
-//!   nonblocking reads into an incremental [`StreamDecoder`] and
-//!   writes out of a **bounded output buffer** — when a slow client
-//!   stops reading, the buffer caps at [`OUT_CAP`] plus one envelope,
-//!   `EPOLLOUT` interest is registered, and frame production pauses
-//!   until the kernel drains (write-readiness-driven backpressure);
-//! * per-session **budgets** (frame count, round count) and idle/stall
-//!   reaping mirror the blocking engine exactly, as do the obs events:
-//!   the same `SessionStart`/`FrameSent`/`RequestSpan`/`SessionEnd`
-//!   trace comes out of either engine, plus per-loop
+//!   nonblocking reads fed to `Session::absorb` and writes out of the
+//!   session's **bounded output buffer** — when a slow client stops
+//!   reading, the buffer caps at `OUT_CAP` (64 KiB) plus one
+//!   envelope, `EPOLLOUT` interest is registered, and frame production
+//!   pauses until the kernel drains (write-readiness-driven
+//!   backpressure);
+//! * idle and stalled sessions are reaped against the read and write
+//!   timeouts, which the blocking engine gets from its sockets. The
+//!   obs events are the blocking engine's, plus per-loop
 //!   [`EventKind::LoopWait`] readiness-wait spans only this engine has.
-//!
-//! A session advances through [`Phase`]s:
-//!
-//! ```text
-//! AwaitHello ──HELLO──▶ Serving(cursor) ──round done──▶ AwaitControl
-//!     │                     │   ▲                            │
-//!     │ STATS_REQUEST       │   └────────REQUEST(ids)────────┤
-//!     ▼                     ▼ DONE / error                   ▼ DONE
-//!  Draining ◀───────────────┴────────────────────────────────┘
-//! ```
-//!
-//! `Draining` flushes the output buffer (typed error, GAVE_UP, or
-//! stats reply) and closes with a recorded end code.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mrtweb_channel::bandwidth::Bandwidth;
-use mrtweb_channel::bernoulli::BernoulliChannel;
-use mrtweb_channel::fault::FaultyLink;
-use mrtweb_channel::link::Link;
 use mrtweb_obs::clock::now_nanos;
-use mrtweb_obs::{emit, emit_at, EventKind, RegistrySnapshot};
+use mrtweb_obs::{emit_at, EventKind, RegistrySnapshot};
 use mrtweb_store::gateway::Gateway;
-use mrtweb_transport::error::Error as TransportError;
-use mrtweb_transport::live::LiveServer;
 
-use crate::server::{book_faults, prepare, reject, ServerConfig, SessionEnd};
-use crate::stats::ProxyStats;
+use crate::server::{Daemon, ServerConfig, READ_CHUNK};
+use crate::session::{Session, SessionEnd, Turn};
 use crate::sys::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::wire::{
-    put_frame_envelope, ErrorCode, Message, StreamDecoder, WireError, MAX_BODY, PROTOCOL_VERSION,
-};
+use crate::wire::MAX_BODY;
 
 /// Epoll token reserved for each worker's intake wakeup fd; session
 /// ids count up from zero and can never collide with it.
 const WAKE_TOKEN: u64 = u64::MAX;
-
-/// Backpressure cap: frame production pauses once a session's output
-/// buffer holds this many unsent bytes. One envelope may overshoot the
-/// cap, so occupancy is bounded by `OUT_CAP + MAX_BODY + overhead`.
-const OUT_CAP: usize = 64 * 1024;
 
 /// Readiness-wait timeout: the loop wakes at least this often to reap
 /// idle sessions and observe shutdown.
@@ -77,397 +49,88 @@ const TICK_MS: i32 = 100;
 /// Minimum interval between idle-session reap scans.
 const REAP_EVERY_NS: u64 = 250_000_000;
 
-/// Per-worker socket read scratch size.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// Where one session is in its protocol lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Reading the opening HELLO (or STATS_REQUEST) envelope.
-    AwaitHello,
-    /// Pumping frames of the current round into the output buffer.
-    Serving,
-    /// ROUND_END queued; awaiting REQUEST or DONE.
-    AwaitControl,
-    /// Flushing the tail (error / GAVE_UP / stats reply), then closing
-    /// with the recorded end.
-    Draining,
-}
-
-/// One nonblocking connection's entire state.
-struct Session {
+/// One nonblocking connection: its socket, its session, and the
+/// readiness bookkeeping around them.
+struct Conn {
     stream: TcpStream,
-    id: u64,
-    phase: Phase,
-    /// Incremental envelope reassembly over partial reads.
-    dec: StreamDecoder,
-    /// Unsent wire bytes; `out[out_pos..]` is pending.
-    out: Vec<u8>,
-    out_pos: usize,
-    server: Option<Arc<LiveServer>>,
-    faulty: Option<FaultyLink<BernoulliChannel>>,
-    faults_seen: usize,
-    /// Cooked-frame indices of the current round; `cursor` is the
-    /// serving position within the slice.
-    to_send: Vec<usize>,
-    cursor: usize,
-    rounds_done: usize,
-    round_start: u64,
-    frames_served: u64,
+    session: Session,
     start: u64,
     last_activity: u64,
     /// Peer closed its writing half (EOF on read).
     read_closed: bool,
-    /// End code to record once `Draining` flushes.
-    end: Option<SessionEnd>,
     /// Currently registered epoll interest mask.
     interest: u32,
 }
 
-impl Session {
-    fn new(stream: TcpStream, id: u64, now: u64) -> Session {
-        Session {
-            stream,
-            id,
-            phase: Phase::AwaitHello,
-            dec: StreamDecoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            server: None,
-            faulty: None,
-            faults_seen: 0,
-            to_send: Vec::new(),
-            cursor: 0,
-            rounds_done: 0,
-            round_start: now,
-            frames_served: 0,
-            start: now,
-            last_activity: now,
-            read_closed: false,
-            end: None,
-            interest: EPOLLIN | EPOLLRDHUP,
+impl Conn {
+    /// Drains the socket into the session. `Some(end)` means the
+    /// connection died and the session must finish.
+    fn on_readable(&mut self, scratch: &mut [u8], d: &Daemon) -> Option<SessionEnd> {
+        loop {
+            // Bound buffering between dispatch passes: a peer streaming
+            // faster than we parse re-reports via level-triggered epoll.
+            if self.session.buffered() > 2 * MAX_BODY {
+                return None;
+            }
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    self.read_closed = true;
+                    return None;
+                }
+                Ok(n) => {
+                    self.session.absorb(scratch.get(..n).unwrap_or(&[]), d);
+                    self.last_activity = now_nanos();
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return None,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Some(SessionEnd::Closed),
+            }
         }
     }
 
-    fn out_pending(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-}
-
-/// Queues a typed error and moves the session to `Draining` with the
-/// end code the blocking engine would have recorded.
-fn fail_session(s: &mut Session, code: ErrorCode, detail: String, end: SessionEnd) {
-    Message::Error { code, detail }.encode_into(&mut s.out);
-    s.phase = Phase::Draining;
-    s.end = Some(end);
-}
-
-/// Completes the session on DONE: whatever is still queued is dropped
-/// (the peer reconstructed and will not read further), so the drain
-/// finishes immediately instead of stalling on unread frames.
-fn complete_session(s: &mut Session) {
-    s.out.clear();
-    s.out_pos = 0;
-    s.phase = Phase::Draining;
-    s.end = Some(SessionEnd::Completed);
-}
-
-/// One protocol message, dispatched by phase. Mirrors
-/// `server::session_body` decision-for-decision.
-fn handle_message(
-    s: &mut Session,
-    msg: Message,
-    gateway: &Gateway,
-    config: &ServerConfig,
-    stats: &ProxyStats,
-) {
-    match s.phase {
-        Phase::AwaitHello => match msg {
-            Message::Hello(h) => {
-                if h.version != PROTOCOL_VERSION {
-                    fail_session(
-                        s,
-                        ErrorCode::BadRequest,
-                        format!(
-                            "protocol version {} unsupported (want {PROTOCOL_VERSION})",
-                            h.version
-                        ),
-                        SessionEnd::ProtocolError,
-                    );
-                    return;
+    /// Writes pending output until the kernel pushes back. `WouldBlock`
+    /// here is normal backpressure, not a timeout — stall reaping
+    /// handles clients that never drain. A failed farewell still books
+    /// the intended end.
+    fn flush(&mut self, d: &Daemon) -> Result<(), SessionEnd> {
+        while !self.session.pending().is_empty() {
+            match self.stream.write(self.session.pending()) {
+                Ok(n) if n > 0 => {
+                    self.session.wrote(n, d);
+                    self.last_activity = now_nanos();
                 }
-                match prepare(gateway, &h) {
-                    Ok(server) => {
-                        let header = server.header().clone();
-                        let n = header.n;
-                        Message::Header(header).encode_into(&mut s.out);
-                        s.faulty = config.fault.clone().map(|cfg| {
-                            let seed = config.fault_seed ^ s.id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                            FaultyLink::new(
-                                Link::new(
-                                    Bandwidth::from_kbps(19.2),
-                                    BernoulliChannel::new(0.0, seed),
-                                    seed,
-                                ),
-                                cfg,
-                                seed,
-                            )
-                        });
-                        s.server = Some(server);
-                        s.to_send = (0..n).collect();
-                        s.cursor = 0;
-                        s.phase = Phase::Serving;
-                        s.round_start = now_nanos();
-                    }
-                    // A well-formed ask the server refuses — typed,
-                    // but not a protocol error.
-                    Err((code, detail)) => fail_session(s, code, detail, SessionEnd::Closed),
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                _ => return Err(self.session.end().unwrap_or(SessionEnd::Closed)),
             }
-            Message::StatsRequest => {
-                Message::StatsReply(stats.snapshot()).encode_into(&mut s.out);
-                s.phase = Phase::Draining;
-                s.end = Some(SessionEnd::Completed);
-            }
-            _ => fail_session(
-                s,
-                ErrorCode::BadRequest,
-                "expected HELLO".to_owned(),
-                SessionEnd::ProtocolError,
-            ),
-        },
-        // DONE may arrive mid-round (the client reconstructed early
-        // and stopped reading); anything else before ROUND_END is a
-        // violation.
-        Phase::Serving | Phase::AwaitControl => match msg {
-            Message::Done => complete_session(s),
-            Message::Request(ids) if s.phase == Phase::AwaitControl => {
-                stats.retransmit_requests.inc();
-                emit(EventKind::RetransmitRequest, s.id, ids.len() as u64);
-                if s.rounds_done >= config.max_rounds {
-                    Message::GaveUp.encode_into(&mut s.out);
-                    s.phase = Phase::Draining;
-                    s.end = Some(SessionEnd::Closed);
-                } else {
-                    s.to_send = ids.into_iter().map(usize::from).collect();
-                    s.cursor = 0;
-                    s.phase = Phase::Serving;
-                    s.round_start = now_nanos();
-                }
-            }
-            _ => fail_session(
-                s,
-                ErrorCode::BadRequest,
-                "expected REQUEST or DONE".to_owned(),
-                SessionEnd::ProtocolError,
-            ),
-        },
-        Phase::Draining => {}
-    }
-}
-
-/// Parses every complete envelope buffered so far.
-fn process_messages(s: &mut Session, gateway: &Gateway, config: &ServerConfig, stats: &ProxyStats) {
-    while s.phase != Phase::Draining {
-        match s.dec.next_message() {
-            Ok(Some(msg)) => handle_message(s, msg, gateway, config, stats),
-            Ok(None) => break,
-            Err(WireError::CrcMismatch) => {
-                emit(EventKind::CrcReject, s.id, 0);
-                let what = if s.phase == Phase::AwaitHello {
-                    "corrupted HELLO envelope"
-                } else {
-                    "corrupted control envelope"
-                };
-                fail_session(
-                    s,
-                    ErrorCode::BadRequest,
-                    what.to_owned(),
-                    SessionEnd::CrcReject,
-                );
-            }
-            Err(e) => fail_session(
-                s,
-                ErrorCode::BadRequest,
-                format!("{e}"),
-                SessionEnd::ProtocolError,
-            ),
         }
+        Ok(())
     }
-}
 
-/// Drains the socket into the decoder and dispatches messages.
-/// `Some(end)` means the connection died and the session must finish.
-fn on_readable(
-    s: &mut Session,
-    scratch: &mut [u8],
-    gateway: &Gateway,
-    config: &ServerConfig,
-    stats: &ProxyStats,
-) -> Option<SessionEnd> {
-    loop {
-        // Bound buffering between dispatch passes: a peer streaming
-        // faster than we parse re-reports via level-triggered epoll.
-        if s.dec.buffered() > 2 * MAX_BODY {
-            break;
-        }
-        match s.stream.read(scratch) {
-            Ok(0) => {
-                s.read_closed = true;
+    /// Pump-and-flush until the session blocks, waits, or ends.
+    /// `Some(end)` asks the caller to finish the session.
+    fn progress(&mut self, d: &Daemon) -> Option<SessionEnd> {
+        loop {
+            self.session.pump(d);
+            if let Err(end) = self.flush(d) {
+                return Some(end);
+            }
+            // Keep refilling while serving and the kernel keeps accepting.
+            if !(self.session.pending().is_empty() && self.session.turn() == Turn::Serve) {
                 break;
             }
-            Ok(n) => {
-                s.dec.absorb(&scratch[..n]);
-                s.last_activity = now_nanos();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Some(SessionEnd::Closed),
+        }
+        if !self.session.pending().is_empty() {
+            return None;
+        }
+        match self.session.turn() {
+            Turn::Close(end) => Some(end),
+            // Half-open hangup: the peer owes us input it can never send
+            // (the blocking engine's next read would see EOF).
+            Turn::Listen if self.read_closed => Some(SessionEnd::Closed),
+            _ => None,
         }
     }
-    process_messages(s, gateway, config, stats);
-    None
-}
-
-/// What serving one frame did; failure details are carried out of the
-/// borrow of the session's `server` field before mutating the session.
-enum Outcome {
-    Served,
-    /// An in-range packet this server does not hold (a trimmed or
-    /// rotted edge-cache entry): skip the sequence, the client
-    /// reconstructs from any M of the rest.
-    Skipped,
-    Fail(ErrorCode, String, SessionEnd),
-}
-
-/// Fills the output buffer with frames of the current round, stopping
-/// at the backpressure cap or the round's end.
-fn pump(s: &mut Session, config: &ServerConfig, stats: &ProxyStats) {
-    while s.phase == Phase::Serving && s.out.len() - s.out_pos < OUT_CAP {
-        if s.cursor >= s.to_send.len() {
-            // Round complete: release held (reordered) frames, close
-            // the round, and hand the turn to the client.
-            if let Some(faulty) = s.faulty.as_mut() {
-                for delivery in faulty.flush() {
-                    put_frame_envelope(&mut s.out, &delivery.bytes);
-                }
-            }
-            Message::RoundEnd.encode_into(&mut s.out);
-            let now = now_nanos();
-            emit_at(
-                s.round_start,
-                EventKind::RoundSpan,
-                now.saturating_sub(s.round_start),
-                s.rounds_done as u64,
-            );
-            s.rounds_done += 1;
-            s.phase = Phase::AwaitControl;
-            break;
-        }
-        let idx = s.to_send[s.cursor];
-        s.cursor += 1;
-        if s.frames_served >= config.frame_budget {
-            emit(EventKind::BudgetExhausted, s.id, config.frame_budget);
-            fail_session(
-                s,
-                ErrorCode::BudgetExceeded,
-                format!("session frame budget {} exhausted", config.frame_budget),
-                SessionEnd::Closed,
-            );
-            break;
-        }
-        // Disjoint-field borrows: `server` pins `s.server` while the
-        // frame bytes land in `s.out`; failures are deferred past the
-        // borrow.
-        let outcome = match &s.server {
-            Some(server) => match server.frame_checked(idx) {
-                Ok(bytes) => {
-                    s.frames_served += 1;
-                    stats.frames_sent.inc();
-                    emit(EventKind::FrameSent, s.id, idx as u64);
-                    if let Some(faulty) = s.faulty.as_mut() {
-                        for delivery in faulty.transmit(bytes) {
-                            put_frame_envelope(&mut s.out, &delivery.bytes);
-                        }
-                        s.faults_seen = book_faults(faulty, s.faults_seen, stats);
-                    } else {
-                        put_frame_envelope(&mut s.out, bytes);
-                    }
-                    Outcome::Served
-                }
-                Err(TransportError::FrameNotHeld { .. }) => Outcome::Skipped,
-                // The round's indices came off the wire: out-of-range
-                // is a typed protocol error, never a panic.
-                Err(e @ TransportError::FrameOutOfRange { .. }) => Outcome::Fail(
-                    ErrorCode::BadRequest,
-                    format!("{e}"),
-                    SessionEnd::ProtocolError,
-                ),
-                Err(e) => Outcome::Fail(ErrorCode::Internal, format!("{e}"), SessionEnd::Closed),
-            },
-            None => Outcome::Fail(
-                ErrorCode::Internal,
-                "no prepared transmission".to_owned(),
-                SessionEnd::Closed,
-            ),
-        };
-        if let Outcome::Fail(code, detail, end) = outcome {
-            fail_session(s, code, detail, end);
-            break;
-        }
-    }
-    stats.note_outbuf((s.out.len() - s.out_pos) as u64);
-}
-
-/// Writes pending output until the kernel pushes back. `WouldBlock`
-/// here is normal backpressure, not a timeout — stall reaping handles
-/// clients that never drain.
-fn try_flush(s: &mut Session, stats: &ProxyStats) -> Result<(), SessionEnd> {
-    while s.out_pos < s.out.len() {
-        match s.stream.write(&s.out[s.out_pos..]) {
-            Ok(0) => return Err(SessionEnd::Closed),
-            Ok(n) => {
-                s.out_pos += n;
-                stats.bytes_sent.add(n as u64);
-                s.last_activity = now_nanos();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(SessionEnd::Closed),
-        }
-    }
-    if !s.out_pending() && s.out_pos > 0 {
-        s.out.clear();
-        s.out_pos = 0;
-    }
-    Ok(())
-}
-
-/// Pump-and-flush until the session blocks, changes phase, or ends.
-/// `Some(end)` asks the caller to finish the session.
-fn progress(s: &mut Session, config: &ServerConfig, stats: &ProxyStats) -> Option<SessionEnd> {
-    loop {
-        pump(s, config, stats);
-        if let Err(end) = try_flush(s, stats) {
-            return Some(end);
-        }
-        // Keep refilling while serving and the kernel keeps accepting.
-        if s.phase == Phase::Serving && !s.out_pending() {
-            continue;
-        }
-        break;
-    }
-    if !s.out_pending() {
-        if s.phase == Phase::Draining {
-            return Some(s.end.unwrap_or(SessionEnd::Closed));
-        }
-        // Half-open hangup: the peer owes us input it can never send
-        // (the blocking engine's next control read would see EOF).
-        if s.read_closed && matches!(s.phase, Phase::AwaitHello | Phase::AwaitControl) {
-            return Some(SessionEnd::Closed);
-        }
-    }
-    None
 }
 
 /// The intake hand-off from the acceptor to one worker loop.
@@ -483,12 +146,8 @@ struct WorkerShared {
 struct Worker {
     epoll: Epoll,
     shared: Arc<WorkerShared>,
-    gateway: Arc<Gateway>,
-    config: Arc<ServerConfig>,
-    stats: Arc<ProxyStats>,
-    admitted: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
-    sessions: HashMap<u64, Session>,
+    daemon: Arc<Daemon>,
+    conns: HashMap<u64, Conn>,
     scratch: Vec<u8>,
     last_reap: u64,
 }
@@ -502,9 +161,9 @@ impl Worker {
                 break;
             }
             let waited = now_nanos().saturating_sub(wait_start);
-            self.stats.loop_wait.record(waited);
+            self.daemon.stats.loop_wait.record(waited);
             emit_at(wait_start, EventKind::LoopWait, waited, ready.len() as u64);
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.daemon.is_shutting_down() {
                 break;
             }
             self.admit_intake();
@@ -524,7 +183,7 @@ impl Worker {
         // Teardown: sessions still open are closed and their admission
         // slots released; connections queued but never admitted into
         // the loop release theirs too.
-        let ids: Vec<u64> = self.sessions.keys().copied().collect();
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             self.finish(id, SessionEnd::Closed);
         }
@@ -537,10 +196,7 @@ impl Worker {
             intake.drain(..).count() as u64
         };
         if leftovers > 0 {
-            // ORDERING: releasing admission slots only needs the RMW to
-            // be atomic — the connection state itself was handed over
-            // through the intake mutex, not through this counter.
-            self.admitted.fetch_sub(leftovers, Ordering::Relaxed);
+            self.daemon.release(leftovers);
         }
     }
 
@@ -555,65 +211,57 @@ impl Worker {
                 .pop_front();
             let Some((stream, id)) = item else { break };
             if stream.set_nonblocking(true).is_err() {
-                // ORDERING: slot release; atomic RMW keeps the bound
-                // exact, and the acceptor tolerates a momentarily stale
-                // view (it only over-queues by at most the race window).
-                self.admitted.fetch_sub(1, Ordering::Relaxed);
+                self.daemon.release(1);
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            emit(EventKind::SessionStart, id, 0);
-            self.stats.active.inc();
-            let s = Session::new(stream, id, now_nanos());
-            if self
-                .epoll
-                .add(s.stream.as_raw_fd(), s.interest, id)
-                .is_err()
-            {
-                emit(EventKind::SessionEnd, id, 4);
-                self.stats.active.dec();
-                // ORDERING: slot release — see `admit_intake` above.
-                self.admitted.fetch_sub(1, Ordering::Relaxed);
+            let start = self.daemon.open(id);
+            let interest = EPOLLIN | EPOLLRDHUP;
+            if self.epoll.add(stream.as_raw_fd(), interest, id).is_err() {
+                self.daemon.close(id, start, SessionEnd::Closed);
                 continue;
             }
-            self.sessions.insert(id, s);
+            let conn = Conn {
+                stream,
+                session: Session::new(id),
+                start,
+                last_activity: start,
+                read_closed: false,
+                interest,
+            };
+            self.conns.insert(id, conn);
         }
     }
 
     /// Advances one session after a readiness event.
     fn drive(&mut self, id: u64, mask: u32) {
-        let done = {
-            let Some(s) = self.sessions.get_mut(&id) else {
-                return;
-            };
-            if mask & EPOLLERR != 0 {
-                Some(SessionEnd::Closed)
+        let Some(c) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let done = if mask & EPOLLERR != 0 {
+            Some(SessionEnd::Closed)
+        } else {
+            let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0;
+            let read_end = if readable {
+                c.on_readable(&mut self.scratch, &self.daemon)
             } else {
-                let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0;
-                let read_end = if readable {
-                    on_readable(
-                        s,
-                        &mut self.scratch,
-                        &self.gateway,
-                        &self.config,
-                        &self.stats,
-                    )
-                } else {
-                    None
-                };
-                read_end.or_else(|| progress(s, &self.config, &self.stats))
-            }
+                None
+            };
+            read_end.or_else(|| c.progress(&self.daemon))
         };
         if let Some(end) = done {
             self.finish(id, end);
             return;
         }
         // Register EPOLLOUT exactly while output is pending.
-        if let Some(s) = self.sessions.get_mut(&id) {
-            let want = EPOLLIN | EPOLLRDHUP | if s.out_pending() { EPOLLOUT } else { 0 };
-            if want != s.interest && self.epoll.modify(s.stream.as_raw_fd(), want, id).is_ok() {
-                s.interest = want;
-            }
+        let pending = if c.session.pending().is_empty() {
+            0
+        } else {
+            EPOLLOUT
+        };
+        let want = EPOLLIN | EPOLLRDHUP | pending;
+        if want != c.interest && self.epoll.modify(c.stream.as_raw_fd(), want, id).is_ok() {
+            c.interest = want;
         }
     }
 
@@ -621,26 +269,19 @@ impl Worker {
     /// write timeout with output pending) — the reaper the blocking
     /// engine gets for free from socket timeouts.
     fn reap(&mut self, now: u64) {
-        let read_ns = duration_nanos(self.config.read_timeout);
-        let write_ns = duration_nanos(self.config.write_timeout);
+        let read_ns = duration_nanos(self.daemon.config.read_timeout);
+        let write_ns = duration_nanos(self.daemon.config.write_timeout);
         let stale: Vec<(u64, SessionEnd)> = self
-            .sessions
+            .conns
             .iter()
-            .filter_map(|(id, s)| {
-                let limit = if s.out_pending() { write_ns } else { read_ns };
-                if now.saturating_sub(s.last_activity) > limit {
-                    // A draining session keeps its recorded end: the
-                    // blocking engine also books the intended end even
-                    // when the farewell write fails.
-                    let end = if s.phase == Phase::Draining {
-                        s.end.unwrap_or(SessionEnd::Closed)
-                    } else {
-                        SessionEnd::TimedOut
-                    };
-                    Some((*id, end))
-                } else {
-                    None
-                }
+            .filter_map(|(&id, c)| {
+                let pending = !c.session.pending().is_empty();
+                let limit = if pending { write_ns } else { read_ns };
+                // A closing session keeps its recorded end: the blocking
+                // engine also books the intended end when the farewell
+                // write fails.
+                (now.saturating_sub(c.last_activity) > limit)
+                    .then(|| (id, c.session.end().unwrap_or(SessionEnd::TimedOut)))
             })
             .collect();
         for (id, end) in stale {
@@ -648,41 +289,13 @@ impl Worker {
         }
     }
 
-    /// Tears one session down with full blocking-engine bookkeeping
-    /// parity: latency histogram, RequestSpan, end counters,
-    /// SessionEnd trace code, active gauge, admission slot.
+    /// Tears one session down and closes its books.
     fn finish(&mut self, id: u64, end: SessionEnd) {
-        let Some(s) = self.sessions.remove(&id) else {
+        let Some(c) = self.conns.remove(&id) else {
             return;
         };
-        self.epoll.delete(s.stream.as_raw_fd());
-        let elapsed = now_nanos().saturating_sub(s.start);
-        self.stats.request_latency.record(elapsed);
-        emit_at(s.start, EventKind::RequestSpan, elapsed, id);
-        let end_code = match end {
-            SessionEnd::Completed => {
-                self.stats.completed.inc();
-                0
-            }
-            SessionEnd::ProtocolError => {
-                self.stats.protocol_errors.inc();
-                1
-            }
-            SessionEnd::TimedOut => {
-                self.stats.timeouts.inc();
-                2
-            }
-            SessionEnd::CrcReject => {
-                self.stats.crc_rejects.inc();
-                3
-            }
-            SessionEnd::Closed => 4,
-        };
-        emit(EventKind::SessionEnd, id, end_code);
-        self.stats.active.dec();
-        // ORDERING: slot release at session teardown; the admission
-        // counter bounds concurrency but publishes no session state.
-        self.admitted.fetch_sub(1, Ordering::Relaxed);
+        self.epoll.delete(c.stream.as_raw_fd());
+        self.daemon.close(id, c.start, end);
     }
 }
 
@@ -690,13 +303,12 @@ fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The event-driven proxy daemon. Same wire protocol, admission
-/// semantics, budgets, fault injection, and observability as
-/// [`crate::server::Server`]; different concurrency substrate.
+/// The event-driven proxy daemon. Same sessions, admission, budgets,
+/// fault injection, and observability as [`crate::server::Server`];
+/// different concurrency substrate.
 pub struct EventServer {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<ProxyStats>,
+    daemon: Arc<Daemon>,
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     worker_shared: Vec<Arc<WorkerShared>>,
@@ -725,13 +337,9 @@ impl EventServer {
     ) -> std::io::Result<EventServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ProxyStats::new());
-        let admitted = Arc::new(AtomicU64::new(0));
-        let gateway = Arc::new(gateway);
-        let config = Arc::new(config);
+        let daemon = Daemon::new(gateway, config);
 
-        let nworkers = config.workers.max(1);
+        let nworkers = daemon.config.workers.max(1);
         let mut worker_shared = Vec::with_capacity(nworkers);
         let mut worker_handles = Vec::with_capacity(nworkers);
         for _ in 0..nworkers {
@@ -744,12 +352,8 @@ impl EventServer {
             let worker = Worker {
                 epoll,
                 shared: Arc::clone(&shared),
-                gateway: Arc::clone(&gateway),
-                config: Arc::clone(&config),
-                stats: Arc::clone(&stats),
-                admitted: Arc::clone(&admitted),
-                shutdown: Arc::clone(&shutdown),
-                sessions: HashMap::new(),
+                daemon: Arc::clone(&daemon),
+                conns: HashMap::new(),
                 scratch: vec![0u8; READ_CHUNK],
                 last_reap: 0,
             };
@@ -758,28 +362,27 @@ impl EventServer {
         }
 
         let accept_handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
+            let daemon = Arc::clone(&daemon);
             let workers = worker_shared.clone();
-            let max_sessions = config.max_sessions.max(1) as u64;
-            let write_timeout = config.write_timeout;
+            let mut rr = 0usize;
             std::thread::spawn(move || {
-                acceptor(
-                    &listener,
-                    &shutdown,
-                    &stats,
-                    &admitted,
-                    &workers,
-                    max_sessions,
-                    write_timeout,
-                );
+                daemon.accept_loop(&listener, |stream, id| {
+                    let worker = &workers[rr % workers.len()];
+                    rr = rr.wrapping_add(1);
+                    worker
+                        .intake
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push_back((stream, id));
+                    worker.wake.wake();
+                    Ok(())
+                });
             })
         };
 
         Ok(EventServer {
             local_addr,
-            shutdown,
-            stats,
+            daemon,
             accept_handle: Some(accept_handle),
             worker_handles,
             worker_shared,
@@ -793,7 +396,7 @@ impl EventServer {
 
     /// A live stats snapshot.
     pub fn stats(&self) -> RegistrySnapshot {
-        self.stats.snapshot()
+        self.daemon.stats.snapshot()
     }
 
     /// Stops accepting, wakes every loop, joins every thread, and
@@ -801,9 +404,7 @@ impl EventServer {
     /// are closed immediately (end code 4) — an event loop has nowhere
     /// to park them, unlike the blocking engine's run-to-completion.
     pub fn shutdown(mut self) -> RegistrySnapshot {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of accept(): connect to ourselves.
-        let _ = TcpStream::connect(self.local_addr);
+        self.daemon.stop(self.local_addr);
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -813,59 +414,6 @@ impl EventServer {
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
-        self.stats.snapshot()
-    }
-}
-
-/// Accepts until shut down: identical admission control to the
-/// blocking engine, then round-robin hand-off to the worker loops.
-fn acceptor(
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-    stats: &ProxyStats,
-    admitted: &AtomicU64,
-    workers: &[Arc<WorkerShared>],
-    max_sessions: u64,
-    write_timeout: Duration,
-) {
-    let mut next_session_id = 0u64;
-    let mut rr = 0usize;
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        stats.accepted.inc();
-        let session_id = next_session_id;
-        next_session_id += 1;
-
-        // Admission: reserve a session slot, or refuse loudly.
-        let prior = admitted.fetch_add(1, Ordering::SeqCst);
-        if prior >= max_sessions {
-            admitted.fetch_sub(1, Ordering::SeqCst);
-            reject(
-                stream,
-                write_timeout,
-                stats,
-                session_id,
-                0,
-                "session limit reached",
-            );
-            continue;
-        }
-        stats.note_in_flight(prior + 1);
-        let worker = &workers[rr % workers.len()];
-        rr = rr.wrapping_add(1);
-        worker
-            .intake
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back((stream, session_id));
-        worker.wake.wake();
+        self.daemon.stats.snapshot()
     }
 }

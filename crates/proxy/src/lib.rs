@@ -9,17 +9,22 @@
 //! - [`wire`] — length-prefixed, CRC-32-checked message envelopes and
 //!   the HELLO/HEADER handshake that carries a
 //!   [`mrtweb_transport::live::DocumentHeader`] to the client.
-//! - [`server`] — a thread-pool server with per-connection session
-//!   state, admission control (max sessions, bounded accept queue,
-//!   per-session frame budget), read/write timeouts, optional
-//!   fault-injected last hop, and clean shutdown.
+//! - [`server`] — what both engines share (configuration, the one
+//!   admission loop with its typed refusals, the one mapping from
+//!   session ends to counters) and the blocking engine: a thread pool
+//!   behind a bounded accept queue, driving each session with blocking
+//!   socket calls and reaping idle clients by socket timeouts. It needs
+//!   no unsafe code and runs on every build.
+//! - `session` — one connection's protocol as a byte-level state
+//!   machine: HELLO or STATS-REQUEST in, HEADER and the frames of
+//!   [`mrtweb_transport::serve::Rounds`] out through a bounded output
+//!   buffer, every failure mapped to a typed ERROR. Both engines drive
+//!   it; only the I/O differs.
 //! - [`event`] (Linux, feature `event`, on by default) — the
-//!   event-driven engine: a dedicated acceptor distributing
-//!   connections across sharded epoll readiness loops, one
-//!   nonblocking session state machine per connection, bounded
-//!   write-backpressured output buffers. Same wire protocol, same
-//!   admission and fault semantics, same observability events — it
-//!   exists to break the thread-pool's throughput ceiling.
+//!   event-driven engine: sharded epoll readiness loops that drive
+//!   sessions from nonblocking reads and write-readiness
+//!   backpressure. It exists to break the thread pool's throughput
+//!   ceiling.
 //! - [`sys`] — the libc-free epoll/eventfd syscall shim the event
 //!   engine stands on.
 //! - [`client`] — a blocking fetch that drives
@@ -48,6 +53,7 @@ pub mod client;
 pub mod event;
 pub mod loadgen;
 pub mod server;
+mod session;
 pub mod stats;
 #[cfg(all(target_os = "linux", feature = "event"))]
 pub mod sys;

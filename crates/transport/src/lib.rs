@@ -21,6 +21,10 @@
 //!   with relevance-based early termination and retransmission rounds;
 //! * [`adaptive`] — EWMA-driven adaptive redundancy (§4.2's suggestion);
 //! * [`prefetch`] — IC-ranked idle-bandwidth prefetching (§6 direction);
+//! * [`serve`] — the document transmitter's serving rounds with no
+//!   I/O: [`serve::Rounds`] decides what goes on the wire next and
+//!   [`serve::Hop`] is the simulated wireless hop; every server drives
+//!   them;
 //! * [`live`] — a threaded client/server prototype exchanging real
 //!   CRC-framed bytes over a corrupting link (the Rust analogue of the
 //!   paper's Figure 1 CORBA prototype);
@@ -41,4 +45,5 @@ pub mod live;
 pub mod plan;
 pub mod prefetch;
 pub mod receiver;
+pub mod serve;
 pub mod session;

@@ -8,13 +8,13 @@
 //!
 //! This module is the Rust analogue: a server thread packetizes, frames
 //! (CRC + sequence number) and pushes a document through a corrupting
-//! [`Link`]; the client verifies CRCs, discards corrupted frames,
+//! [`Link`], serving its rounds through [`crate::serve`] exactly as the
+//! proxy engines do; the client verifies CRCs, discards corrupted frames,
 //! emits progressive [`ClientEvent::SliceProgress`] rendering events as
 //! clear-text bytes land, requests retransmission of what it lacks, and
 //! reconstructs the document from any `M` intact cooked packets.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
@@ -22,17 +22,19 @@ use mrtweb_channel::bandwidth::Bandwidth;
 use mrtweb_channel::bernoulli::BernoulliChannel;
 use mrtweb_channel::fault::{FaultConfig, FaultEvent, FaultyLink};
 use mrtweb_channel::link::Link;
+use mrtweb_channel::loss::LossModel;
 use mrtweb_content::sc::{Measure, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::ida::Codec;
 use mrtweb_erasure::packet::Frame;
 use mrtweb_erasure::Error;
-use mrtweb_obs::{emit, EventKind, Span};
+use mrtweb_obs::{emit, EventKind};
 
 use crate::error::Error as TransportError;
 use crate::plan::{plan_document, TransmissionPlan};
 use crate::receiver::ReceiverState;
+use crate::serve::{Action, Hop, Rounds};
 use crate::session::CacheMode;
 
 /// Reliable control-channel metadata describing a transmission — the
@@ -220,11 +222,6 @@ impl LiveServer {
         self.wire_frames.get(index).and_then(|f| f.as_deref())
     }
 
-    /// Like [`LiveServer::frame_bytes`], but owned.
-    pub fn try_frame(&self, index: usize) -> Option<Vec<u8>> {
-        self.wire_frames.get(index).and_then(Clone::clone)
-    }
-
     /// Like [`LiveServer::frame_bytes`], but a failed lookup is typed —
     /// for servers that must tell a peer violation apart from a packet
     /// this server legitimately lacks (a trimmed edge-cache entry).
@@ -371,25 +368,6 @@ impl LiveClient {
     }
 }
 
-/// Re-emits newly recorded fault-scheduler events as trace events,
-/// returning the new high-water mark. The channel layer stays
-/// deterministic and observability-free; the transport narrates on its
-/// behalf.
-fn book_fault_events<L: mrtweb_channel::loss::LossModel>(
-    faulty: &FaultyLink<L>,
-    seen: usize,
-) -> usize {
-    let trace = faulty.scheduler().trace();
-    for event in &trace[seen..] {
-        emit(
-            EventKind::FaultInjected,
-            event.packet,
-            u64::from(event.kind.code()),
-        );
-    }
-    trace.len()
-}
-
 /// Control messages from client to server.
 #[derive(Debug)]
 enum Control {
@@ -488,85 +466,27 @@ pub fn run_transfer(
     // cannot race a variable distance ahead of a client hangup, which
     // keeps replaying a failing schedule exact even when decode timing
     // varies (e.g. a warm shared inverse cache on the second run).
-    let (wire_tx, wire_rx): (Sender<Wire>, Receiver<Wire>) = bounded(0);
-    let (ctl_tx, ctl_rx): (Sender<Control>, Receiver<Control>) = unbounded();
+    let (wire_tx, wire_rx) = mpsc::sync_channel::<Wire>(0);
+    let (ctl_tx, ctl_rx) = mpsc::channel::<Control>();
 
-    // (frames_sent, rounds), shared with the server thread.
-    let stats: Arc<Mutex<(u64, usize)>> = Arc::new(Mutex::new((0, 0)));
     let header = server.header().clone();
     emit(EventKind::TransferStart, header.m as u64, header.n as u64);
     let n = header.n;
-    let alpha = config.alpha;
-    let seed = config.seed;
-    let max_rounds = config.max_rounds;
-    let fault_cfg = config.fault.clone().unwrap_or_else(FaultConfig::clean);
-    let stats_server = Arc::clone(&stats);
+    let link = Link::new(
+        Bandwidth::from_kbps(19.2),
+        BernoulliChannel::new(config.alpha, config.seed),
+        config.seed ^ 1,
+    );
+    let fault = config.fault.clone().unwrap_or_else(FaultConfig::clean);
+    let mut hop = Hop::new(FaultyLink::new(link, fault, config.seed ^ 2));
+    // In-process transfers carry session id 0 and no frame budget.
+    let mut rounds = Rounds::new(Arc::new(server), 0, u64::MAX, config.max_rounds);
 
-    // The thread returns the fault scheduler's trace so a failing
-    // schedule can be replayed exactly.
-    let server_thread = thread::spawn(move || -> Vec<FaultEvent> {
-        let link = Link::new(
-            Bandwidth::from_kbps(19.2),
-            BernoulliChannel::new(alpha, seed),
-            seed ^ 1,
-        );
-        let mut faulty = FaultyLink::new(link, fault_cfg, seed ^ 2);
-        let mut to_send: Vec<usize> = (0..n).collect();
-        // Fault-scheduler events already re-emitted as trace events.
-        let mut faults_seen = 0usize;
-        'rounds: loop {
-            // Bump the round counter under the lock, but send GaveUp
-            // after releasing it: wire_tx is a rendezvous channel, so a
-            // send blocks until the client turns around — holding the
-            // stats mutex across that wait would stall the client's own
-            // stats reads.
-            let round = {
-                let mut s = stats_server.lock();
-                s.1 += 1;
-                s.1
-            };
-            if round > max_rounds {
-                let _ = wire_tx.send(Wire::GaveUp);
-                break 'rounds;
-            }
-            let round_span = Span::start(EventKind::RoundSpan);
-            for &idx in &to_send {
-                // A request index mangled in flight must not crash the
-                // server; unknown packets are simply not served.
-                let Some(bytes) = server.frame_bytes(idx) else {
-                    continue;
-                };
-                stats_server.lock().0 += 1;
-                for delivery in faulty.transmit(bytes) {
-                    if wire_tx.send(Wire::Frame(delivery.bytes)).is_err() {
-                        // Client hung up (reconstructed or stopped):
-                        // the round still happened — close its span.
-                        round_span.end(round as u64);
-                        break 'rounds;
-                    }
-                }
-            }
-            // Nothing left on the wire this round: held (reordered)
-            // frames can no longer be overtaken.
-            for delivery in faulty.flush() {
-                if wire_tx.send(Wire::Frame(delivery.bytes)).is_err() {
-                    round_span.end(round as u64);
-                    break 'rounds;
-                }
-            }
-            faults_seen = book_fault_events(&faulty, faults_seen);
-            round_span.end(round as u64);
-            if wire_tx.send(Wire::RoundEnd).is_err() {
-                break 'rounds;
-            }
-            match ctl_rx.recv() {
-                Ok(Control::Request(ids)) => to_send = ids,
-                Ok(Control::Done) | Err(_) => break 'rounds,
-            }
-        }
-        faults_seen = book_fault_events(&faulty, faults_seen);
-        let _ = faults_seen;
-        faulty.into_trace()
+    // The thread hands back its counters and the fault scheduler's
+    // trace, so a failing schedule can be replayed exactly.
+    let server_thread = thread::spawn(move || {
+        serve(&mut rounds, &mut hop, &wire_tx, &ctl_rx);
+        (rounds.frames_sent(), rounds.rounds(), hop.into_trace())
     });
 
     let mut client = LiveClient::new(header)?;
@@ -574,9 +494,8 @@ pub fn run_transfer(
     let mut requests: Vec<Vec<usize>> = Vec::new();
     let mut completed = false;
     let mut stopped_early = false;
-    let mut gave_up = false;
 
-    'transfer: for wire in wire_rx.iter() {
+    'transfer: for wire in &wire_rx {
         match wire {
             Wire::Frame(bytes) => {
                 let new_events = client.on_wire(&bytes);
@@ -609,31 +528,21 @@ pub fn run_transfer(
                 requests.push(request.clone());
                 let _ = ctl_tx.send(Control::Request(request));
             }
-            Wire::GaveUp => {
-                gave_up = true;
-                break 'transfer;
-            }
+            Wire::GaveUp => break 'transfer,
         }
     }
     // Drop both channel ends so the server unblocks wherever it is
     // (mid-send or waiting on control), then join.
     drop(ctl_tx);
     drop(wire_rx);
-    let fault_events = server_thread
+    let (frames_sent, rounds, fault_events) = server_thread
         .join()
         .map_err(|_| TransportError::ServerPanicked)?;
-    let _ = gave_up;
-
-    let (frames_sent, rounds) = *stats.lock();
-    emit(
-        EventKind::TransferEnd,
-        u64::from(completed),
-        rounds.min(max_rounds) as u64,
-    );
+    emit(EventKind::TransferEnd, u64::from(completed), rounds as u64);
     Ok(TransferReport {
         completed,
         stopped_early,
-        rounds: rounds.min(max_rounds),
+        rounds,
         frames_sent,
         frames_corrupted: client.state().corrupted(),
         payload: client
@@ -644,6 +553,49 @@ pub fn run_transfer(
         requests,
         fault_events,
     })
+}
+
+/// The server thread's I/O loop: carries what `rounds` serves across
+/// the hop into the rendezvous channel and feeds the client's control
+/// messages back, until the client is done or hangs up, or the rounds
+/// are over.
+fn serve<L: LossModel>(
+    rounds: &mut Rounds,
+    hop: &mut Hop<L>,
+    wire_tx: &SyncSender<Wire>,
+    ctl_rx: &Receiver<Control>,
+) {
+    loop {
+        let (deliveries, then) = match rounds.next_action() {
+            Ok(Action::Frame(bytes)) => (hop.transmit(bytes).0, None),
+            // Nothing left on the wire this round: held (reordered)
+            // frames can no longer be overtaken.
+            Ok(Action::RoundEnd) => (hop.flush(), Some(Wire::RoundEnd)),
+            Ok(Action::GaveUp) => {
+                let _ = wire_tx.send(Wire::GaveUp);
+                return;
+            }
+            Ok(Action::Idle) => match ctl_rx.recv() {
+                Ok(Control::Request(ids)) => {
+                    rounds.request(ids);
+                    continue;
+                }
+                Ok(Control::Done) | Err(_) => return,
+            },
+            // Unreachable in-process: the client asks only for packets
+            // it lacks, and there is no frame budget.
+            Err(_) => return,
+        };
+        let mut wires = deliveries
+            .into_iter()
+            .map(|d| Wire::Frame(d.bytes))
+            .chain(then);
+        if !wires.all(|wire| wire_tx.send(wire).is_ok()) {
+            // The client hung up (reconstructed or stopped).
+            rounds.done();
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -827,7 +779,6 @@ mod tests {
         let srv = server(Lod::Paragraph, 1.5);
         let n = srv.header().n;
         assert!(srv.frame_bytes(n).is_none());
-        assert!(srv.try_frame(n).is_none());
         match srv.frame_checked(n) {
             Err(TransportError::FrameOutOfRange { index, n: reported }) => {
                 assert_eq!(index, n);

@@ -475,6 +475,10 @@ pub fn bench_sweep(
 ///
 /// Propagates corpus/schedule construction failures.
 pub fn golden_flat_access(seed: u64) -> Result<String, String> {
+    // Hold the process-global tracer, as `run` does: the corpus build
+    // emits encode spans, and a capture running beside this one must
+    // not count them.
+    let _tracer = mrtweb_obs::testkit::capture();
     let (air, _) = build_corpus(1, 64, 3.0, seed)?;
     let carousel = Carousel::build(
         &air,

@@ -394,6 +394,10 @@ pub fn roam(cfg: &RunConfig) -> Result<RoamReport, String> {
     if cfg.docs == 0 {
         return Err("docs must be positive".into());
     }
+    // Hold the process-global tracer for the whole run, as `run` does:
+    // the cook path emits encode spans, and a capture running beside
+    // this one must not count them.
+    let _tracer = mrtweb_obs::testkit::capture();
     let dir_a = fresh_dir("cell-a", cfg.seed)?;
     let dir_b = fresh_dir("cell-b", cfg.seed)?;
     let store_a = Arc::new(DocumentStore::new(cfg.docs.max(8)));
