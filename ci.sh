@@ -39,6 +39,10 @@
 #                  an instrumented std via -Zbuild-std to avoid false
 #                  positives in uninstrumented runtime code)
 #
+# tier1, tests and mrtbench build with --locked: a manifest edit that
+# would rewrite Cargo.lock or examples/mrtbench/Cargo.lock fails there
+# instead of being rewritten silently.
+#
 # The proxy readiness wait is bounded but configurable: set
 # MRTWEB_PROXY_WAIT_SECS (default 5) on slow runners. The proxy child
 # is torn down unconditionally — including when a stage fails mid-way.
@@ -123,16 +127,16 @@ stage_clippy() {
 }
 
 stage_tier1() {
-  echo "==> tier-1: cargo build --release && cargo test -q"
-  cargo build --release
-  cargo test -q
+  echo "==> tier-1: cargo build --release --locked && cargo test -q --locked"
+  cargo build --release --locked
+  cargo test -q --locked
 }
 
 stage_tests() {
   local cases="${PROPTEST_CASES:-192}"
   [ "$quick" -eq 1 ] && cases="${PROPTEST_CASES:-32}"
   echo "==> workspace tests (PROPTEST_CASES=$cases)"
-  PROPTEST_CASES="$cases" cargo test --workspace -q
+  PROPTEST_CASES="$cases" cargo test --workspace -q --locked
 }
 
 stage_obs_no_trace() {
@@ -260,7 +264,7 @@ stage_mrtbench() {
   echo "==> mrtbench smoke: hot, cold, lossy, churn with the payload oracle on"
   # The benchmark is a package of its own; it exits nonzero when any
   # fetch fails or serves a wrong or superseded payload.
-  cargo run --release --manifest-path examples/mrtbench/Cargo.toml -- run --smoke
+  cargo run --release --locked --manifest-path examples/mrtbench/Cargo.toml -- run --smoke
 }
 
 stage_bench() {

@@ -142,6 +142,20 @@ pub fn redundancy_ratio(m: usize, alpha: f64, s: f64) -> Result<f64, Error> {
     Ok(min_cooked_packets(m, alpha, s)? as f64 / m as f64)
 }
 
+/// The cooked packet count `N` for `m` raw packets at redundancy ratio
+/// `gamma`: `γ · M` rounded to the nearest packet, never below `M`.
+/// Every transmission path sizes its code with this one rule.
+///
+/// ```
+/// use mrtweb_erasure::redundancy::cooked_packets;
+/// assert_eq!(cooked_packets(40, 1.5), 60);
+/// assert_eq!(cooked_packets(3, 1.1), 3);
+/// ```
+#[must_use]
+pub fn cooked_packets(m: usize, gamma: f64) -> usize {
+    ((m as f64 * gamma).round() as usize).max(m)
+}
+
 /// A planned code: chosen `N` for the given `(M, α, S)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plan {
@@ -171,13 +185,12 @@ impl Plan {
     }
 
     /// Plans a code from a fixed redundancy ratio `γ` (how the paper's
-    /// simulation operates: `N = ⌈γ·M⌉`).
+    /// simulation operates: `N` = [`cooked_packets`]`(M, γ)`).
     pub fn from_ratio(m: usize, gamma: f64, alpha: f64) -> Plan {
         assert!(gamma >= 1.0, "redundancy ratio must be at least 1");
-        let cooked = ((m as f64 * gamma).round() as usize).max(m);
         Plan {
             raw: m,
-            cooked,
+            cooked: cooked_packets(m, gamma),
             alpha,
             success: f64::NAN,
         }

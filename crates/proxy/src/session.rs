@@ -302,11 +302,12 @@ impl Session {
 }
 
 /// HELLO → prepared [`LiveServer`], with gateway failures mapped to
-/// wire error codes. Served through the gateway's edge cache when the
-/// base station has one attached (a hit re-frames the at-rest cooked
-/// blob with zero codec work), and through the shared
-/// prepared-transmission cache otherwise: concurrent and repeat
-/// sessions for one request shape replay a single encode either way.
+/// wire error codes. Served through the gateway's one cache: its edge
+/// cache when the base station has one attached (a hit re-frames the
+/// at-rest cooked blob with zero codec work), its in-memory prepared
+/// map otherwise. Concurrent and repeat sessions for one request shape
+/// replay a single encode while the store holds the document
+/// generation it was cooked from.
 fn prepare(gateway: &Gateway, hello: &Hello) -> Result<Arc<LiveServer>, (ErrorCode, String)> {
     let request = Request::from_options(
         &hello.url,

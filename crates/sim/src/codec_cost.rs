@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use mrtweb_erasure::ida::{Codec, GroupPackets};
 use mrtweb_erasure::par::GroupCodec;
+use mrtweb_erasure::redundancy::cooked_packets;
 
 use crate::params::Params;
 
@@ -116,7 +117,7 @@ pub fn measure_codec_cost(
 /// document's worth of payload.
 pub fn dispersal_cost(params: &Params) -> CodecCost {
     let m = params.doc_size.div_ceil(params.packet_size).clamp(1, 128);
-    let n = ((m as f64 * params.gamma).round() as usize).clamp(m, 256);
+    let n = cooked_packets(m, params.gamma).min(256);
     measure_codec_cost(m, n, params.packet_size, params.doc_size, 3)
 }
 

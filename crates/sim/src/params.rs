@@ -1,5 +1,6 @@
 //! The paper's Table 2: default experimental parameter settings.
 
+use mrtweb_erasure::redundancy::cooked_packets;
 use mrtweb_transport::session::CacheMode;
 use serde::{Deserialize, Serialize};
 
@@ -94,9 +95,9 @@ impl Params {
         self.doc_size.div_ceil(self.packet_size)
     }
 
-    /// Cooked packets per document: `N = round(γ·M)`.
+    /// Cooked packets per document: `N = round(γ·M)`, at least `M`.
     pub fn cooked_packets(&self) -> usize {
-        ((self.raw_packets() as f64 * self.gamma).round() as usize).max(self.raw_packets())
+        cooked_packets(self.raw_packets(), self.gamma)
     }
 
     /// Paragraphs per document.

@@ -11,10 +11,11 @@ use std::collections::BTreeMap;
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_docmodel::unit::{Inline, Unit, UnitPath};
-use mrtweb_erasure::crc::crc32;
+use mrtweb_erasure::crc::{crc32, Crc32};
 use mrtweb_erasure::ida::{Codec as DispersalCodec, GroupPackets};
 use mrtweb_erasure::par::GroupCodec;
 use mrtweb_textproc::index::{DocumentIndex, UnitEntry};
+use mrtweb_transport::live::DocumentHeader;
 
 /// Format magic for documents.
 pub const DOC_MAGIC: &[u8; 4] = b"MRTD";
@@ -288,28 +289,48 @@ pub fn encode_dispersed(
     let codec = DispersalCodec::new(m, n, packet_size)
         .map_err(|_| CodecError("invalid dispersal parameters"))?;
     let groups = GroupCodec::new(codec).encode(payload);
+    let groups: Vec<_> = groups
+        .iter()
+        .map(|g| (g.len, g.cooked.as_slice()))
+        .collect();
+    Ok(write_blob(m, packet_size, payload.len(), &groups))
+}
+
+/// Lays out already-cooked dispersal groups as a dispersed blob (the
+/// layout [`encode_dispersed`] documents): each group is its payload
+/// byte length and its `N` cooked packets of `packet_size` bytes. This
+/// is the writer behind [`encode_dispersed`], and how an edge-cache
+/// miss stores the packets it just cooked without encoding them again.
+pub fn write_blob(
+    m: usize,
+    packet_size: usize,
+    doc_len: usize,
+    groups: &[(usize, &[Vec<u8>])],
+) -> Vec<u8> {
+    let n_groups = groups.len();
+    let n = groups.first().map_or(0, |(_, cooked)| cooked.len());
     // Capacity is a hint: saturation just means one extra realloc.
     let group_bytes = packet_size
         .saturating_add(4)
         .saturating_mul(n)
         .saturating_add(4);
     let mut buf =
-        BytesMut::with_capacity(29usize.saturating_add(groups.len().saturating_mul(group_bytes)));
+        BytesMut::with_capacity(29usize.saturating_add(n_groups.saturating_mul(group_bytes)));
     buf.put_slice(BLOB_MAGIC);
     buf.put_u8(VERSION);
     buf.put_u32_le(m as u32);
     buf.put_u32_le(n as u32);
     buf.put_u32_le(packet_size as u32);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_u32_le(groups.len() as u32);
-    for g in &groups {
-        buf.put_u32_le(g.len as u32);
-        for p in &g.cooked {
+    buf.put_u64_le(doc_len as u64);
+    buf.put_u32_le(n_groups as u32);
+    for &(len, cooked) in groups {
+        buf.put_u32_le(len as u32);
+        for p in cooked {
             buf.put_slice(p);
             buf.put_u32_le(crc32(p));
         }
     }
-    Ok(buf.to_vec())
+    buf.to_vec()
 }
 
 /// Deserializes a dispersed blob, tolerating per-packet corruption.
@@ -507,6 +528,20 @@ impl<'a> BlobPackets<'a> {
         self.n_groups
     }
 
+    /// Whether this blob is the one-group dispersal `header` describes:
+    /// the same `M`, `N`, packet size and document length. Blob file
+    /// names are a 64-bit hash and migration records come off the
+    /// backhaul, so every path that pairs a blob with a header checks
+    /// this before serving one under the other.
+    #[must_use]
+    pub fn matches_header(&self, header: &DocumentHeader) -> bool {
+        self.m == header.m
+            && self.n == header.n
+            && self.packet_size == header.packet_size
+            && self.doc_len == header.doc_len
+            && self.n_groups == 1
+    }
+
     /// Payload bytes carried by group `group` (≤ `M · packet_size`).
     ///
     /// # Panics
@@ -568,6 +603,22 @@ impl<'a> BlobPackets<'a> {
         };
         let stored = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         crc32(self.packet(group, index)) == stored
+    }
+
+    /// CRC-32 over every stored packet in order, the records' own CRCs
+    /// left out: what identifies the cooked bytes a blob carries. A
+    /// CRC-32 over whole records would not: each record ends in its
+    /// packet's CRC-32, which makes such a checksum the same for every
+    /// blob of one shape.
+    #[must_use]
+    pub fn digest(&self) -> u32 {
+        let mut crc = Crc32::new();
+        for group in 0..self.n_groups {
+            for index in 0..self.n {
+                crc.update(self.packet(group, index));
+            }
+        }
+        crc.finish()
     }
 
     /// Every on-air packet in carousel order (group-major).

@@ -15,8 +15,9 @@
 //!   [`crate::evict::plan_eviction`], which sheds low-IC parity first
 //!   and pins hot clear-text prefixes longest;
 //! * **disk** — the full blob, written temp-file-and-rename at
-//!   admission; a trimmed or flushed entry re-hydrates from it, and a
-//!   rotted record is skipped (any `M` intact packets still serve);
+//!   admission; a trimmed or flushed entry re-hydrates from it only
+//!   while the file still holds the packets admitted (their digest is
+//!   recorded in the entry), and is dropped otherwise;
 //! * **migration** — [`crate::migrate`] frames `(key, header, blob)`
 //!   into a CRC-guarded record another cell's cache admits verbatim,
 //!   the roaming path of Stanski et al.'s archive container.
@@ -40,9 +41,9 @@ use crate::disk::fnv1a;
 use crate::evict::{plan_eviction, Action, Resident, Segment};
 use crate::gateway::Request;
 
-/// Everything that shapes a cached transmission — the edge analogue of
-/// the gateway's prepared-transmission key, public so migration records
-/// can carry it between cells.
+/// Everything that shapes a cached transmission: the key of the edge
+/// cache and of the gateway's in-memory prepared map, public so
+/// migration records can carry it between cells.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeKey {
     /// Document URL.
@@ -171,6 +172,10 @@ struct Entry {
     /// Cooked packets by sequence; `None` = trimmed from memory or
     /// rotted at rest. Indices `0..m` are the clear-text prefix.
     packets: Vec<Option<Vec<u8>>>,
+    /// [`BlobPackets::digest`] of the blob as admitted: rehydration
+    /// and export accept the file on disk only while it still carries
+    /// exactly these packets.
+    digest: u32,
     /// Store generation the blob was cooked from; `None` = the edge
     /// holds this entry authoritatively (migrated from another cell).
     origin: Option<u64>,
@@ -210,9 +215,6 @@ struct Inner {
     entries: HashMap<EdgeKey, Entry>,
     /// Monotone use tick driving the LRU ordering.
     tick: u64,
-    /// Keys whose entries were fully evicted since the last drain —
-    /// the gateway consumes this to invalidate prepared transmissions.
-    evicted: Vec<EdgeKey>,
 }
 
 /// A bounded, disk-backed cache of cooked dispersed blobs.
@@ -228,6 +230,8 @@ pub struct EdgeCache {
     migrations_out: AtomicU64,
     migrations_in: AtomicU64,
     admit_failures: AtomicU64,
+    /// Admissions started, numbering each one's temp file.
+    admissions: AtomicU64,
     /// Hit serve latency, lookup to serve-ready packets, nanoseconds.
     hit_ns: Histogram,
 }
@@ -253,6 +257,7 @@ impl EdgeCache {
             migrations_out: AtomicU64::new(0),
             migrations_in: AtomicU64::new(0),
             admit_failures: AtomicU64::new(0),
+            admissions: AtomicU64::new(0),
             hit_ns: Histogram::new(),
         })
     }
@@ -397,13 +402,7 @@ impl EdgeCache {
         origin: Option<u64>,
     ) -> Result<bool, EdgeError> {
         let view = BlobPackets::parse(blob)?;
-        if view.m() != header.m
-            || view.n() != header.n
-            || view.packet_size() != header.packet_size
-            || view.doc_len() != header.doc_len
-            || view.groups() != 1
-            || header.plan.total_bytes() != header.doc_len
-        {
+        if !view.matches_header(&header) || header.plan.total_bytes() != header.doc_len {
             return Err(EdgeError::Codec(CodecError(
                 "blob disagrees with transmission header",
             )));
@@ -413,7 +412,11 @@ impl EdgeCache {
             return Ok(false);
         }
         let path = self.blob_path(&key);
-        let tmp = path.with_extension("tmp");
+        // Each admission writes its own temp file, so two admissions
+        // of one key never interleave their bytes in a shared one.
+        // ORDERING: only uniqueness matters; no data travels with it.
+        let seq = self.admissions.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(blob)?;
@@ -429,6 +432,7 @@ impl EdgeCache {
             Entry {
                 header,
                 packets,
+                digest: view.digest(),
                 origin,
                 segment: Segment::Probation,
                 last_used: tick,
@@ -442,10 +446,9 @@ impl EdgeCache {
     /// on a miss. A hit touches the entry (probation → protected on
     /// re-reference) and never invokes the erasure codec; if memory
     /// holds fewer than `M` intact packets the entry re-hydrates from
-    /// its on-disk blob, skipping rotted records. An entry that cannot
-    /// reach `M` even from disk is dropped (and reported through
-    /// [`EdgeCache::drain_evicted`]) — the request falls back to the
-    /// encode path.
+    /// its on-disk blob. A blob that is no longer the one admitted
+    /// (gone, rotted, or replaced by other bytes) drops the entry and
+    /// the lookup misses — the request falls back to the encode path.
     #[must_use]
     pub fn serve(&self, key: &EdgeKey) -> Option<EdgeServed> {
         let t0 = now_nanos();
@@ -465,19 +468,11 @@ impl EdgeCache {
             // from the at-rest blob. Disk I/O under the lock is the
             // rare path (only after budget pressure or rot), and keeps
             // the entry state transition atomic.
-            let want = entry.header.clone();
-            let rehydrated = fs::read(self.blob_path(key)).ok().and_then(|blob| {
+            let rehydrated = self.read_blob(key, entry.digest).and_then(|blob| {
                 let view = BlobPackets::parse(&blob).ok()?;
-                // Same cross-check as admission: blob filenames are a
-                // 64-bit hash, so a colliding key's blob (or any
-                // swapped file) must not hydrate under this entry's
-                // header — treat a mismatch like at-rest rot.
-                (view.m() == want.m
-                    && view.n() == want.n
-                    && view.packet_size() == want.packet_size
-                    && view.doc_len() == want.doc_len
-                    && view.groups() == 1)
-                    .then(|| hydrate(&view))
+                // A CRC-32 digest is no cryptographic hash: a crafted
+                // file can match it, so keep admission's shape check.
+                view.matches_header(&entry.header).then(|| hydrate(&view))
             });
             let entry = inner
                 .entries
@@ -488,11 +483,9 @@ impl EdgeCache {
                     entry.packets = packets;
                 }
                 _ => {
-                    // The blob rotted below M (or vanished): the entry
-                    // is unservable; drop it so the gateway invalidates
-                    // any prepared transmission built from it.
+                    // The blob rotted, vanished or is not the one
+                    // admitted: the entry is unservable, so drop it.
                     inner.entries.remove(key);
-                    inner.evicted.push(key.clone());
                     drop(inner);
                     // ORDERING: monitoring tally only.
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -548,13 +541,12 @@ impl EdgeCache {
         }
     }
 
-    /// Removes `key` entirely (memory + disk). Reported through
-    /// [`EdgeCache::drain_evicted`] like a budget eviction.
+    /// Removes `key` entirely (memory + disk), tallied like a budget
+    /// eviction.
     pub fn remove(&self, key: &EdgeKey) {
         let mut inner = self.inner.lock();
         if let Some(entry) = inner.entries.remove(key) {
             let freed = entry.resident_bytes();
-            inner.evicted.push(key.clone());
             drop(inner);
             let _ = fs::remove_file(self.blob_path(key));
             // ORDERING: monitoring tally only.
@@ -563,26 +555,28 @@ impl EdgeCache {
         }
     }
 
-    /// Keys fully evicted since the last call — the gateway drains this
-    /// to drop prepared transmissions built from entries that no longer
-    /// exist.
-    #[must_use]
-    pub fn drain_evicted(&self) -> Vec<EdgeKey> {
-        std::mem::take(&mut self.inner.lock().evicted)
-    }
-
     /// Reads the at-rest blob for `key`, with its header — the payload a
-    /// migration record ships to another cell.
+    /// migration record ships to another cell. `None` if the entry is
+    /// gone or its file no longer holds the bytes admitted.
     #[must_use]
     pub fn export_blob(&self, key: &EdgeKey) -> Option<(DocumentHeader, Vec<u8>)> {
-        let header = {
+        let (header, digest) = {
             let inner = self.inner.lock();
-            inner.entries.get(key)?.header.clone()
+            let entry = inner.entries.get(key)?;
+            (entry.header.clone(), entry.digest)
         };
-        let blob = fs::read(self.blob_path(key)).ok()?;
+        let blob = self.read_blob(key, digest)?;
         // ORDERING: monitoring tally only.
         self.migrations_out.fetch_add(1, Ordering::Relaxed);
         Some((header, blob))
+    }
+
+    /// The at-rest blob for `key`, or `None` if it is gone or does not
+    /// carry the packets admitted (`digest`): at-rest rot, a swapped
+    /// file or a colliding key's blob, whatever its shape.
+    fn read_blob(&self, key: &EdgeKey, digest: u32) -> Option<Vec<u8>> {
+        let blob = fs::read(self.blob_path(key)).ok()?;
+        (BlobPackets::parse(&blob).ok()?.digest() == digest).then_some(blob)
     }
 
     /// Admits a blob that arrived in a migration record from another
@@ -645,7 +639,6 @@ impl EdgeCache {
                 Action::Evict { victim } => {
                     if let Some(entry) = inner.entries.remove(&keys[victim]) {
                         let freed = entry.resident_bytes();
-                        inner.evicted.push(keys[victim].clone());
                         let _ = fs::remove_file(self.blob_path(&keys[victim]));
                         // ORDERING: monitoring tally only.
                         self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -671,6 +664,7 @@ mod tests {
     use crate::codec::encode_dispersed;
     use mrtweb_content::sc::StructuralCharacteristic;
     use mrtweb_docmodel::document::Document;
+    use mrtweb_erasure::redundancy::cooked_packets;
     use mrtweb_transport::live::LiveServer;
     use mrtweb_transport::plan::plan_document;
 
@@ -699,7 +693,7 @@ mod tests {
         let sc = StructuralCharacteristic::from_index(&idx, None);
         let (plan, payload) = plan_document(&doc, &sc, Lod::Paragraph, Measure::Ic);
         let m = plan.raw_packets(packet_size);
-        let n = ((m as f64 * gamma).round() as usize).max(m);
+        let n = cooked_packets(m, gamma);
         let blob = encode_dispersed(&payload, m, n, packet_size).unwrap();
         let header = DocumentHeader {
             doc_len: payload.len(),
@@ -800,8 +794,7 @@ mod tests {
         fs::write(cache.blob_path(&key), b"MRTB").unwrap();
         cache.flush_resident();
         assert!(cache.serve(&key).is_none());
-        let evicted = cache.drain_evicted();
-        assert_eq!(evicted, vec![key]);
+        assert!(!cache.contains(&key));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -823,7 +816,50 @@ mod tests {
         fs::write(cache.blob_path(&key), &other_blob).unwrap();
         cache.flush_resident();
         assert!(cache.serve(&key).is_none());
-        assert_eq!(cache.drain_evicted(), vec![key]);
+        assert!(!cache.contains(&key));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rehydration_rejects_a_same_shape_blob_of_other_bytes() {
+        // A blob of the right shape but other bytes (a swapped file, a
+        // colliding key, two admissions of one key racing their
+        // renames) passes every header check; only the admitted blob's
+        // digest tells it apart. Serving it would hand out foreign
+        // packets under this entry's header and generation.
+        let dir = temp_dir("foreign");
+        let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
+        let (key, header, blob) = fixture(64, 1.5);
+        cache.admit(key.clone(), header.clone(), &blob).unwrap();
+        let foreign: Vec<u8> = crate::codec::decode_dispersed(&blob)
+            .unwrap()
+            .iter()
+            .map(|b| b ^ 0x5a)
+            .collect();
+        let foreign = encode_dispersed(&foreign, header.m, header.n, header.packet_size).unwrap();
+        assert_eq!(foreign.len(), blob.len());
+        assert_ne!(foreign, blob);
+        fs::write(cache.blob_path(&key), &foreign).unwrap();
+        cache.flush_resident();
+        assert!(cache.serve(&key).is_none(), "served foreign packets");
+        assert!(!cache.contains(&key));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn export_refuses_a_blob_that_is_not_the_one_admitted() {
+        let dir = temp_dir("export-foreign");
+        let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
+        let (key, header, blob) = fixture(64, 1.5);
+        cache.admit(key.clone(), header, &blob).unwrap();
+        // Flip the first byte of the first packet (33-byte header: the
+        // 29-byte blob header plus the group's length).
+        let mut rotted = blob.clone();
+        rotted[33] ^= 1;
+        fs::write(cache.blob_path(&key), &rotted).unwrap();
+        assert!(cache.export_blob(&key).is_none());
+        fs::write(cache.blob_path(&key), &blob).unwrap();
+        assert_eq!(cache.export_blob(&key).map(|(_, b)| b), Some(blob));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -843,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_reports_keys_for_invalidation() {
+    fn admission_over_budget_evicts_the_older_entry() {
         let dir = temp_dir("drain");
         let (key, header, blob) = fixture(64, 1.5);
         let budget = header.m * header.packet_size;
@@ -861,8 +897,7 @@ mod tests {
         // Budget fits one clear prefix: admitting k2 evicted k1.
         assert!(!cache.contains(&k1));
         assert!(cache.contains(&k2));
-        assert_eq!(cache.drain_evicted(), vec![k1]);
-        assert!(cache.drain_evicted().is_empty());
+        assert!(!cache.blob_path(&k1).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

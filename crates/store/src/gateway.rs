@@ -13,15 +13,13 @@ use std::sync::{Arc, Mutex};
 
 use mrtweb_content::query::Query;
 use mrtweb_content::sc::Measure;
-use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::Error as ErasureError;
-use mrtweb_transport::live::{DocumentHeader, LiveServer};
-use mrtweb_transport::plan::plan_document;
+use mrtweb_transport::live::{self, DocumentHeader, LiveServer};
 
-use crate::codec::{encode_dispersed, BlobPackets};
+use crate::codec::write_blob;
 use crate::edge::{EdgeCache, EdgeError, EdgeKey};
-use crate::store::{DocumentStore, Snapshot};
+use crate::store::DocumentStore;
 
 /// A transmission request.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,55 +136,32 @@ impl From<EdgeError> for GatewayError {
     }
 }
 
-/// Cache key for a prepared transmission: everything that shapes the
-/// cooked frames. The document itself is checked by pointer identity
-/// in the cached value, so a `put` over the same URL invalidates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PreparedKey {
-    url: String,
-    query: String,
-    lod: Lod,
-    measure: Measure,
-    packet_size: usize,
-    gamma_bits: u64,
-}
-
-impl PreparedKey {
-    fn of(request: &Request) -> Self {
-        PreparedKey {
-            url: request.url.clone(),
-            query: request.query.clone(),
-            lod: request.lod,
-            measure: request.measure,
-            packet_size: request.packet_size,
-            gamma_bits: request.gamma.to_bits(),
-        }
-    }
-}
-
-/// Bound on distinct request shapes the gateway keeps prepared.
+/// Bound on distinct request shapes the in-memory prepared map keeps.
 const PREPARED_CACHE_CAP: usize = 64;
 
-/// A cached prepared transmission, pinned to the exact document it was
-/// encoded from so replacement in the store invalidates the entry.
-type PreparedEntry = (Arc<Document>, Arc<LiveServer>);
+/// A prepared transmission and the store generation it was cooked from.
+type PreparedEntry = (u64, Arc<LiveServer>);
 
 /// The serving side of the prototype.
+///
+/// Each gateway keeps one cache of cooked transmissions, keyed by
+/// [`EdgeKey`]: the attached [`EdgeCache`] when it fronts a cell,
+/// otherwise a bounded in-memory map. Either way an entry cooked from
+/// the store is served only while the store still holds the document
+/// generation it was cooked from.
 #[derive(Debug)]
 pub struct Gateway {
     store: Arc<DocumentStore>,
-    /// Prepared transmissions shared across concurrent sessions: the
-    /// cooked frames for a request shape are immutable, so every
-    /// session fetching the same document with the same parameters
-    /// replays one encode instead of redoing slicing, ranking, and
-    /// GF(2⁸) math per session. Each entry pins the source document so
-    /// a hit is honoured only while that exact document is still what
-    /// the store serves.
-    prepared: Mutex<HashMap<PreparedKey, PreparedEntry>>,
+    /// Prepared transmissions shared across concurrent sessions when no
+    /// edge cache is attached: the cooked frames for a request shape
+    /// are immutable, so every session fetching the same document with
+    /// the same parameters replays one encode instead of redoing
+    /// slicing, ranking, and GF(2⁸) math per session.
+    prepared: Mutex<HashMap<EdgeKey, PreparedEntry>>,
     prepared_hits: AtomicU64,
     prepared_misses: AtomicU64,
     /// The base station's disk-backed cache of cooked blobs, when this
-    /// gateway fronts a cell.
+    /// gateway fronts a cell; it replaces the prepared map.
     edge: Option<Arc<EdgeCache>>,
 }
 
@@ -203,17 +178,11 @@ impl Gateway {
     }
 
     /// Attaches an edge cache: [`Gateway::prepare_edge`] will serve
-    /// cooked blobs from it, and its evictions invalidate this
-    /// gateway's prepared transmissions.
+    /// cooked blobs from it instead of the in-memory prepared map.
     #[must_use]
     pub fn with_edge(mut self, edge: Arc<EdgeCache>) -> Self {
         self.edge = Some(edge);
         self
-    }
-
-    /// The attached edge cache, if any.
-    pub fn edge(&self) -> Option<&Arc<EdgeCache>> {
-        self.edge.as_ref()
     }
 
     /// The underlying store.
@@ -221,36 +190,8 @@ impl Gateway {
         &self.store
     }
 
-    /// Drops prepared transmissions whose documents left the edge
-    /// cache since the last call. An edge eviction means the cell no
-    /// longer vouches for those cooked bytes (budget pressure or
-    /// at-rest rot), so the prepared entry — same key shape — must not
-    /// keep serving them; the next request re-prepares from the store.
-    pub fn sync_edge_invalidations(&self) {
-        let Some(edge) = &self.edge else {
-            return;
-        };
-        let evicted = edge.drain_evicted();
-        if evicted.is_empty() {
-            return;
-        }
-        let mut map = self
-            .prepared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for k in evicted {
-            map.remove(&PreparedKey {
-                url: k.url,
-                query: k.query,
-                lod: k.lod,
-                measure: k.measure,
-                packet_size: k.packet_size,
-                gamma_bits: k.gamma_bits,
-            });
-        }
-    }
-
-    /// `(hits, misses)` of the prepared-transmission cache.
+    /// `(hits, misses)` of the in-memory prepared map (the edge cache
+    /// keeps its own, [`EdgeCache::stats`]).
     pub fn prepared_cache_counters(&self) -> (u64, u64) {
         (
             // ORDERING: monitoring counters — each total is independently
@@ -260,41 +201,84 @@ impl Gateway {
         )
     }
 
-    /// Like [`Gateway::prepare`], but returns a shared handle served
-    /// from a bounded per-gateway cache: repeat requests for the same
-    /// `(url, query, lod, measure, packet size, γ)` reuse the already
-    /// encoded transmission. The cache is invalidated per entry when
-    /// the store's document for that URL is replaced.
+    /// Prepares a transmission through the gateway's cache: repeat
+    /// requests for one `(url, query, lod, measure, packet size, γ)`
+    /// reuse one cooked transmission. Returns the server and whether it
+    /// was a cache hit.
+    ///
+    /// With an edge cache attached, a hit re-frames the cached cooked
+    /// blob with **zero** erasure-codec work (no `EncodeSpan`), and a
+    /// miss cooks once, admits the blob and serves from the same
+    /// packets. Without one, the in-memory prepared map shares one
+    /// `Arc<LiveServer>` across sessions.
+    ///
+    /// A hit is honoured only while the store still holds the document
+    /// generation the entry was cooked from — replacing or deleting the
+    /// document invalidates it (migrated edge entries, which the edge
+    /// holds authoritatively, always serve). Edge admission failures
+    /// never fail the request: the response serves from the packets
+    /// just cooked and the failure is only tallied.
     ///
     /// # Errors
     ///
     /// Same as [`Gateway::prepare`].
-    pub fn prepare_shared(&self, request: &Request) -> Result<Arc<LiveServer>, GatewayError> {
-        self.sync_edge_invalidations();
-        let doc = self
-            .store
-            .document(&request.url)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let key = PreparedKey::of(request);
-        if let Some((cached_doc, live)) = self
+    pub fn prepare_edge(&self, request: &Request) -> Result<(Arc<LiveServer>, bool), GatewayError> {
+        let key = EdgeKey::of(request);
+        let Some(edge) = &self.edge else {
+            return self.prepare_in_memory(key, request);
+        };
+        if let Some(served) = edge.serve(&key) {
+            // Migrated from another cell (`origin` None): the edge copy
+            // is the authority (the roaming client's held packets came
+            // from these very bytes).
+            if served.origin.is_none_or(|g| self.is_fresh(&request.url, g)) {
+                let live = LiveServer::from_cooked(served.header, served.packets)?;
+                return Ok((Arc::new(live), true));
+            }
+            // The document behind the blob was replaced or deleted:
+            // drop the stale entry and cook from the store's current
+            // state.
+            edge.remove(&key);
+        }
+        let (generation, header, packets) = self.cook(request)?;
+        let blob = write_blob(
+            header.m,
+            header.packet_size,
+            header.doc_len,
+            &[(header.doc_len, &packets)],
+        );
+        // Admission may be refused (clear prefix alone over budget) or
+        // fail outright on the cache's own disk — either way the
+        // response still serves from the packets just cooked; only the
+        // cache copy is lost. The cache tallies failures
+        // (`EdgeStats::admit_failures`).
+        let _ = edge.admit_from_store(key, header.clone(), &blob, generation);
+        Ok((Arc::new(frame(header, packets)?), false))
+    }
+
+    /// [`Gateway::prepare_edge`] without an edge cache: the bounded
+    /// in-memory prepared map.
+    fn prepare_in_memory(
+        &self,
+        key: EdgeKey,
+        request: &Request,
+    ) -> Result<(Arc<LiveServer>, bool), GatewayError> {
+        let cached = self
             .prepared
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(&key)
-        {
-            if Arc::ptr_eq(cached_doc, &doc) {
-                // ORDERING: pure tally — the cached value travels via
-                // the `prepared` mutex, not through this counter.
-                self.prepared_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(live));
-            }
+            .cloned();
+        if let Some((_, live)) = cached.filter(|(g, _)| self.is_fresh(&request.url, *g)) {
+            // ORDERING: pure tally — the cached value travels via the
+            // `prepared` mutex, not through this counter.
+            self.prepared_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((live, true));
         }
+        let (generation, header, packets) = self.cook(request)?;
         // ORDERING: same monitoring tally as the hit counter above.
         self.prepared_misses.fetch_add(1, Ordering::Relaxed);
-        // Pin the document the frames are cooked from, which a `put`
-        // may already have replaced since the lookup above.
-        let snapshot = self.snapshot(request)?;
-        let live = Arc::new(cook(&snapshot, request)?);
+        let live = Arc::new(frame(header, packets)?);
         let mut map = self
             .prepared
             .lock()
@@ -305,93 +289,11 @@ impl Gateway {
             // and keeps the common small-corpus case untouched.
             map.clear();
         }
-        map.insert(key, (snapshot.document, Arc::clone(&live)));
-        Ok(live)
+        map.insert(key, (generation, Arc::clone(&live)));
+        Ok((live, false))
     }
 
-    /// Prepares a transmission through the edge cache: a hit re-frames
-    /// the cached cooked blob with **zero** erasure-codec work (no
-    /// `EncodeSpan`); a miss cooks the blob once (exactly one encode),
-    /// admits it, and serves from the same bytes. Returns the server
-    /// and whether it was a cache hit. Without an attached edge cache
-    /// this falls back to [`Gateway::prepare_shared`] (never a hit).
-    ///
-    /// A hit is honoured only while the store still holds the document
-    /// generation the blob was cooked from — replacing or deleting the
-    /// document invalidates the cached blob (migrated entries, which
-    /// the edge holds authoritatively, always serve). Cache-side
-    /// admission failures never fail the request: the response serves
-    /// from the just-cooked blob and the failure is only tallied.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::prepare`], plus [`GatewayError::Edge`] if the
-    /// just-cooked blob fails to re-parse (an internal invariant, not a
-    /// cache-disk condition).
-    pub fn prepare_edge(&self, request: &Request) -> Result<(Arc<LiveServer>, bool), GatewayError> {
-        let Some(edge) = &self.edge else {
-            return Ok((self.prepare_shared(request)?, false));
-        };
-        self.sync_edge_invalidations();
-        let key = EdgeKey::of(request);
-        if let Some(served) = edge.serve(&key) {
-            let fresh = match served.origin {
-                // Cooked from this cell's store: honoured only while
-                // the store still holds that exact document version.
-                Some(generation) => self.store.generation(&request.url) == Some(generation),
-                // Migrated from another cell: the edge copy is the
-                // authority (the roaming client's held packets came
-                // from these very bytes).
-                None => true,
-            };
-            if fresh {
-                let live = LiveServer::from_cooked(served.header, served.packets)?;
-                return Ok((Arc::new(live), true));
-            }
-            // The document behind the blob was replaced or deleted:
-            // drop the stale entry (which also invalidates any prepared
-            // transmission built from it) and fall through to the miss
-            // path against the store's current state.
-            edge.remove(&key);
-            self.sync_edge_invalidations();
-        }
-        // Miss: cook the dispersed blob once; it is both the at-rest
-        // cache entry and the source of this response's frames.
-        let snapshot = self.snapshot(request)?;
-        let (plan, payload) = plan_document(
-            &snapshot.document,
-            &snapshot.sc,
-            request.lod,
-            request.measure,
-        );
-        let m = plan.raw_packets(request.packet_size);
-        let n = ((m as f64 * request.gamma).round() as usize).max(m);
-        let blob = encode_dispersed(&payload, m, n, request.packet_size).map_err(|_| {
-            GatewayError::Encoding(ErasureError::InvalidParameters { raw: m, cooked: n })
-        })?;
-        let header = DocumentHeader {
-            doc_len: payload.len(),
-            m,
-            n,
-            packet_size: request.packet_size,
-            plan,
-        };
-        // Admission may be refused (clear prefix alone over budget) or
-        // fail outright on the cache's own disk — either way the
-        // response still serves from the blob just cooked; only the
-        // cache copy is lost. The cache tallies failures
-        // (`EdgeStats::admit_failures`).
-        let _ = edge.admit_from_store(key, header.clone(), &blob, snapshot.generation);
-        let view =
-            BlobPackets::parse(&blob).map_err(|e| GatewayError::Edge(EdgeError::Codec(e)))?;
-        let packets = (0..view.n())
-            .map(|i| view.is_intact(0, i).then(|| view.packet(0, i).to_vec()))
-            .collect();
-        let live = LiveServer::from_cooked(header, packets)?;
-        Ok((Arc::new(live), false))
-    }
-
-    /// Prepares a live transmission for a request.
+    /// Prepares a live transmission for a request, uncached.
     ///
     /// # Errors
     ///
@@ -399,29 +301,41 @@ impl Gateway {
     /// [`GatewayError::Encoding`] when the document needs more than 256
     /// cooked packets at the requested packet size.
     pub fn prepare(&self, request: &Request) -> Result<LiveServer, GatewayError> {
-        cook(&self.snapshot(request)?, request)
+        let (_, header, packets) = self.cook(request)?;
+        Ok(frame(header, packets)?)
     }
 
-    /// The store's view of the requested document under the request's
-    /// query: document, SC and generation of one version.
-    fn snapshot(&self, request: &Request) -> Result<Snapshot, GatewayError> {
+    /// The one freshness rule: an entry cooked from store generation
+    /// `generation` may serve `url` only while the store still holds
+    /// that generation there.
+    fn is_fresh(&self, url: &str, generation: u64) -> bool {
+        self.store.generation(url) == Some(generation)
+    }
+
+    /// Cooks the store's current version of the requested document
+    /// ([`live::cook`]): its generation, header and `N` cooked packets,
+    /// all from one snapshot, so they describe one document.
+    fn cook(&self, request: &Request) -> Result<(u64, DocumentHeader, Vec<Vec<u8>>), GatewayError> {
         let query = Query::parse(&request.query, self.store.pipeline());
-        self.store
+        let snapshot = self
+            .store
             .snapshot(&request.url, &query)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))
+            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
+        let (header, packets) = live::cook(
+            &snapshot.document,
+            &snapshot.sc,
+            request.lod,
+            request.measure,
+            request.packet_size,
+            request.gamma,
+        )?;
+        Ok((snapshot.generation, header, packets))
     }
 }
 
-/// Plans, encodes and frames one snapshot for a request.
-fn cook(snapshot: &Snapshot, request: &Request) -> Result<LiveServer, GatewayError> {
-    Ok(LiveServer::new(
-        &snapshot.document,
-        &snapshot.sc,
-        request.lod,
-        request.measure,
-        request.packet_size,
-        request.gamma,
-    )?)
+/// Frames freshly cooked packets, every one of them held.
+fn frame(header: DocumentHeader, packets: Vec<Vec<u8>>) -> Result<LiveServer, ErasureError> {
+    LiveServer::from_cooked(header, packets.into_iter().map(Some).collect())
 }
 
 #[cfg(test)]
@@ -471,18 +385,16 @@ mod tests {
     }
 
     #[test]
-    fn prepare_shared_caches_and_invalidates_on_replacement() {
+    fn prepared_map_caches_and_invalidates_on_replacement() {
         let gw = gateway();
         let req = Request {
             packet_size: 32,
             ..Request::new("http://site/paper", "mobile wireless")
         };
-        let first = gw.prepare_shared(&req).unwrap();
-        let second = gw.prepare_shared(&req).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "same request shape shares one prepared transmission"
-        );
+        let first = gw.prepare_edge(&req).unwrap().0;
+        let (second, hit) = gw.prepare_edge(&req).unwrap();
+        assert!(hit, "same request shape shares one prepared transmission");
+        assert_eq!(first.header(), second.header());
         let (hits, misses) = gw.prepared_cache_counters();
         assert_eq!((hits, misses), (1, 1));
 
@@ -491,8 +403,9 @@ mod tests {
             packet_size: 64,
             ..req.clone()
         };
-        let third = gw.prepare_shared(&wider).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third));
+        let (third, hit) = gw.prepare_edge(&wider).unwrap();
+        assert!(!hit);
+        assert_ne!(first.header(), third.header());
 
         // Replacing the document invalidates the hit: the cached frames
         // describe bytes the store no longer serves.
@@ -506,11 +419,12 @@ mod tests {
             )
             .unwrap(),
         );
-        let fresh = gw.prepare_shared(&req).unwrap();
+        let (fresh, hit) = gw.prepare_edge(&req).unwrap();
         assert!(
-            !Arc::ptr_eq(&first, &fresh),
+            !hit,
             "a replaced document must not serve stale cached frames"
         );
+        assert_ne!(first.header(), fresh.header());
         let (_, misses_after) = gw.prepared_cache_counters();
         assert!(misses_after >= 3);
     }
@@ -559,45 +473,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mrtweb-gw-edge-{tag}-{nanos}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn edge_eviction_invalidates_prepared_transmissions() {
-        let dir = temp_dir("invalidate");
-        let store = Arc::new(DocumentStore::new(8));
-        store.put(
-            "http://site/paper",
-            Document::parse_xml(
-                "<document><title>Paper</title>\
-                 <section><title>Hot</title>\
-                 <paragraph>mobile wireless browsing content</paragraph></section>\
-                 </document>",
-            )
-            .unwrap(),
-        );
-        let edge = Arc::new(EdgeCache::new(&dir, 1 << 20).unwrap());
-        let gw = Gateway::new(store).with_edge(Arc::clone(&edge));
-        let req = Request {
-            packet_size: 32,
-            ..Request::new("http://site/paper", "mobile wireless")
-        };
-
-        // Populate both caches: the edge blob and a prepared entry.
-        gw.prepare_edge(&req).unwrap();
-        let first = gw.prepare_shared(&req).unwrap();
-        let again = gw.prepare_shared(&req).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "prepared entry is cached");
-
-        // Evict the document from the edge cache. The document in the
-        // store is unchanged, so before the edge-eviction sync this
-        // would keep hitting on pointer identity — the regression.
-        edge.remove(&EdgeKey::of(&req));
-        let fresh = gw.prepare_shared(&req).unwrap();
-        assert!(
-            !Arc::ptr_eq(&first, &fresh),
-            "an edge-evicted document must drop its prepared transmission"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn edge_gateway(tag: &str) -> (std::path::PathBuf, Arc<EdgeCache>, Gateway) {
@@ -722,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_edge_without_cache_falls_back_to_shared() {
+    fn prepare_edge_without_cache_serves_from_the_prepared_map() {
         let gw = gateway();
         let req = Request {
             packet_size: 32,
@@ -731,6 +606,23 @@ mod tests {
         let (srv, hit) = gw.prepare_edge(&req).unwrap();
         assert!(!hit);
         assert!(srv.header().m >= 1);
+        let (again, hit) = gw.prepare_edge(&req).unwrap();
+        assert!(hit, "a repeat request hits the prepared map");
+        assert_eq!(srv.header(), again.header());
+        assert_eq!(gw.prepared_cache_counters(), (1, 1));
+    }
+
+    #[test]
+    fn edge_gateway_keeps_no_prepared_map() {
+        let (dir, _edge, gw) = edge_gateway("one-cache");
+        let req = Request {
+            packet_size: 32,
+            ..Request::new("http://site/paper", "mobile wireless")
+        };
+        assert!(!gw.prepare_edge(&req).unwrap().1);
+        assert!(gw.prepare_edge(&req).unwrap().1, "the edge cache hits");
+        assert_eq!(gw.prepared_cache_counters(), (0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -173,19 +173,19 @@ pub fn decode_record(input: &[u8]) -> Result<MigrationRecord, CodecError> {
     if !input.is_empty() {
         return Err(CodecError("trailing bytes after record"));
     }
-    let view = BlobPackets::parse(&blob)?;
-    if view.m() != m
-        || view.n() != n
-        || view.packet_size() != packet_size
-        || view.doc_len() != doc_len
-        || view.groups() != 1
-    {
-        return Err(CodecError("blob disagrees with transmission header"));
-    }
     // The plan rode over in its already-ranked order; `sequential`
     // preserves it exactly (re-ranking here could reorder ties and
     // break byte identity with the origin cell).
-    let plan = TransmissionPlan::sequential(slices);
+    let header = DocumentHeader {
+        doc_len,
+        m,
+        n,
+        packet_size,
+        plan: TransmissionPlan::sequential(slices),
+    };
+    if !BlobPackets::parse(&blob)?.matches_header(&header) {
+        return Err(CodecError("blob disagrees with transmission header"));
+    }
     Ok(MigrationRecord {
         key: EdgeKey {
             url,
@@ -195,13 +195,7 @@ pub fn decode_record(input: &[u8]) -> Result<MigrationRecord, CodecError> {
             packet_size,
             gamma_bits,
         },
-        header: DocumentHeader {
-            doc_len,
-            m,
-            n,
-            packet_size,
-            plan,
-        },
+        header,
         blob,
     })
 }

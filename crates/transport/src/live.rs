@@ -28,6 +28,7 @@ use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::ida::Codec;
 use mrtweb_erasure::packet::Frame;
+use mrtweb_erasure::redundancy::cooked_packets;
 use mrtweb_erasure::Error;
 use mrtweb_obs::{emit, EventKind};
 
@@ -53,6 +54,51 @@ pub struct DocumentHeader {
     pub plan: TransmissionPlan,
 }
 
+/// Cooks a document for transmission: plans it at `lod` ordered by
+/// `measure`, sizes the code (`N` = [`cooked_packets`]`(M, gamma)`) and
+/// encodes the payload once. Returns the header and the `N` cooked
+/// packets by sequence — the one cook behind [`LiveServer::new`] and
+/// behind the edge cache's at-rest blob, so both carry the same bytes.
+///
+/// The encode is serial: at the paper shape (M = 40, N = 60, 256-byte
+/// packets) it takes 8–15 µs on a 2-vCPU Xeon VM, and fanning its rows
+/// over two threads took 78–92 µs there, nearly all of it thread spawns.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameters`] if the document needs more than 256
+/// cooked packets at this packet size (use a larger packet size or a
+/// chunking layer).
+pub fn cook(
+    doc: &Document,
+    sc: &StructuralCharacteristic,
+    lod: Lod,
+    measure: Measure,
+    packet_size: usize,
+    gamma: f64,
+) -> Result<(DocumentHeader, Vec<Vec<u8>>), Error> {
+    let (plan, payload) = plan_document(doc, sc, lod, measure);
+    let m = plan.raw_packets(packet_size);
+    let n = cooked_packets(m, gamma);
+    // Shared substrate: concurrent sessions serving the same (M, N)
+    // shape reuse one systematic generator instead of re-deriving it.
+    let codec = Codec::shared(m, n, packet_size)?;
+    let mut cooked = Vec::new();
+    codec.encode_into(&payload, &mut cooked);
+    let packets = cooked
+        .chunks_exact(packet_size)
+        .map(<[u8]>::to_vec)
+        .collect();
+    let header = DocumentHeader {
+        doc_len: payload.len(),
+        m,
+        n,
+        packet_size,
+        plan,
+    };
+    Ok((header, packets))
+}
+
 /// Progressive events the rendering manager consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientEvent {
@@ -69,12 +115,10 @@ pub enum ClientEvent {
 
 /// The server side: owns the encoded document.
 ///
-/// All `N` cooked packets are encoded once at construction and framed
-/// once, so retransmission rounds replay cached wire bytes instead of
-/// redoing GF(2⁸) math and CRCs per request. The encode is serial: at
-/// the paper shape (M = 40, N = 60, 256-byte packets) it takes 8–15 µs
-/// on a 2-vCPU Xeon VM, and fanning its rows over two threads took
-/// 78–92 µs there, nearly all of it thread spawns.
+/// All `N` cooked packets are encoded once ([`cook`]) and framed once
+/// ([`LiveServer::from_cooked`]), so retransmission rounds replay
+/// cached wire bytes instead of redoing GF(2⁸) math and CRCs per
+/// request.
 #[derive(Debug)]
 pub struct LiveServer {
     header: DocumentHeader,
@@ -102,30 +146,8 @@ impl LiveServer {
         packet_size: usize,
         gamma: f64,
     ) -> Result<Self, Error> {
-        let (plan, payload) = plan_document(doc, sc, lod, measure);
-        let m = plan.raw_packets(packet_size);
-        let n = ((m as f64 * gamma).round() as usize).max(m);
-        // Shared substrate: concurrent sessions serving the same (M, N)
-        // shape reuse one systematic generator instead of re-deriving
-        // it per session.
-        let codec = Codec::shared(m, n, packet_size)?;
-        let mut cooked = Vec::new();
-        codec.encode_into(&payload, &mut cooked);
-        let wire_frames = cooked
-            .chunks_exact(packet_size)
-            .enumerate()
-            .map(|(i, payload)| Some(Frame::new(i as u16, payload.to_vec()).to_wire().to_vec()))
-            .collect();
-        Ok(LiveServer {
-            header: DocumentHeader {
-                doc_len: payload.len(),
-                m,
-                n,
-                packet_size,
-                plan,
-            },
-            wire_frames,
-        })
+        let (header, packets) = cook(doc, sc, lod, measure, packet_size, gamma)?;
+        LiveServer::from_cooked(header, packets.into_iter().map(Some).collect())
     }
 
     /// Like [`LiveServer::new`], but grows the packet size (from
@@ -150,19 +172,18 @@ impl LiveServer {
         let mut packet_size = min_packet_size.max(1);
         loop {
             let m = total.div_ceil(packet_size).max(1);
-            let n = ((m as f64 * gamma).round() as usize).max(m);
-            if n <= 256 {
+            if cooked_packets(m, gamma) <= 256 {
                 return LiveServer::new(doc, sc, lod, measure, packet_size, gamma);
             }
             packet_size *= 2;
         }
     }
 
-    /// Builds a server directly from already-cooked packets — an edge
-    /// cache serving the at-rest dispersed blob. No codec is
-    /// constructed and no [`EventKind::EncodeSpan`] is emitted: the
-    /// packets were encoded exactly once when the blob was cooked, and
-    /// this path only re-frames them for the wire. `None` entries mark
+    /// Builds a server from already-cooked packets: the output of
+    /// [`cook`], or an edge cache serving the at-rest dispersed blob. No
+    /// codec is constructed and no [`EventKind::EncodeSpan`] is emitted:
+    /// the packets were encoded exactly once when they were cooked, and
+    /// this path only frames them for the wire. `None` entries mark
     /// packets the cache no longer holds intact (trimmed parity, at-rest
     /// rot); the server skips those sequences and the client
     /// reconstructs from any `M` of the rest.
@@ -795,25 +816,10 @@ mod tests {
         // an edge cache serves after budget pressure. The hole must be
         // a skippable FrameNotHeld, not the peer-violation error.
         let (doc, sc) = fixture();
-        let (plan, payload) = plan_document(&doc, &sc, Lod::Paragraph, Measure::Qic);
-        let packet_size = 32;
-        let m = plan.raw_packets(packet_size);
-        let n = ((m as f64 * 1.5).round() as usize).max(m);
-        let codec = Codec::shared(m, n, packet_size).unwrap();
-        let mut cooked = Vec::new();
-        codec.encode_into(&payload, &mut cooked);
-        let mut packets: Vec<Option<Vec<u8>>> = cooked
-            .chunks_exact(packet_size)
-            .map(|p| Some(p.to_vec()))
-            .collect();
+        let (header, cooked) = cook(&doc, &sc, Lod::Paragraph, Measure::Qic, 32, 1.5).unwrap();
+        let n = header.n;
+        let mut packets: Vec<Option<Vec<u8>>> = cooked.into_iter().map(Some).collect();
         packets[n - 1] = None;
-        let header = DocumentHeader {
-            doc_len: payload.len(),
-            m,
-            n,
-            packet_size,
-            plan,
-        };
         let srv = LiveServer::from_cooked(header, packets).unwrap();
         assert!(matches!(
             srv.frame_checked(n - 1),

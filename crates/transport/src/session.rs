@@ -10,6 +10,7 @@
 
 use mrtweb_channel::link::Link;
 use mrtweb_channel::loss::LossModel;
+use mrtweb_erasure::redundancy::cooked_packets;
 use serde::{Deserialize, Serialize};
 
 use crate::plan::TransmissionPlan;
@@ -103,7 +104,7 @@ impl Default for SessionConfig {
 impl SessionConfig {
     /// Cooked packets `N = round(γ·M)`, at least `M`.
     pub fn cooked_packets(&self, m: usize) -> usize {
-        ((m as f64 * self.gamma).round() as usize).max(m)
+        cooked_packets(m, self.gamma)
     }
 
     /// Bytes of one frame on the wire.

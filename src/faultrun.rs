@@ -1049,9 +1049,9 @@ fn edge_layer(h: &mut Harness, arm: EdgeArm, seed: u64) {
                 // Force the next serve through the rotted file.
                 edge.flush_resident();
 
-                // Invariant 2: the rot is detected, never served. The
-                // unservable entry is reported evicted so the gateway's
-                // prepared-transmission sync drops any stale handle.
+                // Invariant 2: the rot is detected, never served: the
+                // unservable entry leaves the cache, the gateway's only
+                // cache of cooked bytes.
                 h.check(edge.serve(&key).is_none(), || {
                     format!("edge-rot: doc {i} served a rotted blob")
                 });
