@@ -14,6 +14,8 @@
 #   loc            library lines per crate (non-test, non-comment,
 #                  non-blank); a number to track, not a gate
 #   clippy         pedantic clippy, -D warnings
+#   doc            rustdoc for the workspace, -D warnings (broken or
+#                  private intra-doc links fail it)
 #   tier1          release build + default-feature test suite
 #   tests          full workspace test sweep (PROPTEST_CASES honored)
 #   obs-no-trace   mrtweb-obs with the `trace` feature off (no-op path)
@@ -49,7 +51,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt analysis loc clippy tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
+ALL_STAGES="fmt analysis loc clippy doc tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
 
 run_bench=1
 quick=0
@@ -124,6 +126,11 @@ stage_clippy() {
     -A clippy::missing-panics-doc \
     -A clippy::module-name-repetitions \
     -D warnings
+}
+
+stage_doc() {
+  echo "==> cargo doc -D warnings"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
 stage_tier1() {
@@ -335,6 +342,7 @@ for stage in $stages; do
     analysis) stage_analysis ;;
     loc) stage_loc ;;
     clippy) stage_clippy ;;
+    doc) stage_doc ;;
     tier1) stage_tier1 ;;
     tests) stage_tests ;;
     obs-no-trace) stage_obs_no_trace ;;

@@ -366,10 +366,11 @@ impl DivAssign for Gf256 {
 /// This is the inner loop of both encoding and decoding:
 /// `dst[i] += c * src[i]` over GF(2⁸). Slices must have equal length.
 ///
-/// Dispatches at runtime to the widest available kernel: AVX2 or SSSE3
-/// byte-shuffle over the split nibble tables ([`MUL_LO`]/[`MUL_HI`]) on
-/// x86-64, otherwise a branch-free lookup into the dense product row
-/// [`MUL[c]`](MUL). The original log/exp formulation survives as
+/// Dispatches at runtime to the widest kernel this CPU runs, the first
+/// of [`detected_tiers`] ([`Tier`] names each): GFNI affine kernels on
+/// 512-bit or 256-bit vectors, AVX2 or SSSE3 byte shuffles over split
+/// nibble tables, or, on any CPU, a branch-free lookup into a dense
+/// product row. The original log/exp formulation survives as
 /// [`mul_acc_scalar`], the reference the property tests and benchmarks
 /// compare against.
 ///

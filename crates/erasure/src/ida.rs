@@ -8,7 +8,7 @@
 //! leading portion of a document the moment those packets arrive,
 //! without waiting for `M` packets to invert a matrix.
 //!
-//! The generator is built by the [`cauchy`](crate::cauchy) module:
+//! The generator is built by the [`cauchy`] module:
 //! identity rows over a Cauchy parity block, written down directly in
 //! `O(M·N)` (no Gauss–Jordan elimination), with survivor inverses from
 //! the closed-form Cauchy formula in `O(M²)`. [`Codec`] is configured

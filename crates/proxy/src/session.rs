@@ -9,6 +9,9 @@
 //! transmission through the gateway, seeds the per-session wireless
 //! [`Hop`], maps every failure to a typed ERROR, and queues the frames
 //! that [`Rounds`] serves into an output buffer capped at [`OUT_CAP`].
+//! A cache hit over a clean link copies the transmission's envelopes,
+//! sealed once ([`LiveServer::sealed`]) and shared by every such
+//! session.
 //!
 //! ```text
 //! AwaitHello ──HELLO──▶ Serving(rounds) ──DONE / GAVE_UP / ERROR──▶ Draining(end)
@@ -35,12 +38,14 @@ use mrtweb_transport::serve::{Action, Hop, Refusal, Rounds};
 
 use crate::server::Daemon;
 use crate::wire::{
-    put_frame_envelope, ErrorCode, Hello, Message, StreamDecoder, WireError, PROTOCOL_VERSION,
+    put_frame_envelope, put_header_envelope, ErrorCode, Hello, Message, StreamDecoder, WireError,
+    PROTOCOL_VERSION,
 };
 
 /// Backpressure cap: frame production pauses once a session's output
-/// buffer holds this many unsent bytes. One envelope may overshoot the
-/// cap, so occupancy is bounded by `OUT_CAP + MAX_BODY + overhead`.
+/// buffer holds this many unsent bytes. [`Session::pump`] drops the
+/// written prefix before it appends, and one envelope may overshoot the
+/// cap, so the buffer is bounded by `OUT_CAP + MAX_BODY + overhead`.
 pub(crate) const OUT_CAP: usize = 64 * 1024;
 
 /// How one session ended, for counter bookkeeping.
@@ -76,6 +81,11 @@ enum Phase {
     AwaitHello,
     Serving {
         rounds: Rounds,
+        /// The transmission whose sealed envelopes this session copies:
+        /// a gateway cache hit over a clean link. `None` behind a fault
+        /// hop, which mangles frames, and for a fresh cook, which this
+        /// session may be the only one to serve.
+        sealed: Option<Arc<LiveServer>>,
         /// The simulated wireless hop, when the daemon injects faults.
         hop: Option<Box<Hop<BernoulliChannel>>>,
     },
@@ -215,13 +225,13 @@ impl Session {
             );
             return self.fail(ErrorCode::BadRequest, detail, SessionEnd::ProtocolError);
         }
-        let server = match prepare(&d.gateway, hello) {
-            Ok(server) => server,
+        let (server, hit) = match prepare(&d.gateway, hello) {
+            Ok(prepared) => prepared,
             // A well-formed ask the server refuses: typed, but not a
             // protocol error.
             Err((code, detail)) => return self.fail(code, detail, SessionEnd::Closed),
         };
-        Message::Header(server.header().clone()).encode_into(&mut self.out);
+        put_header_envelope(&mut self.out, server.header());
         // The wireless-hop simulator, when configured: mangles transport
         // frames inside intact proxy envelopes, seeded per session so
         // concurrent sessions draw independent deterministic schedules.
@@ -234,29 +244,48 @@ impl Session {
             );
             Box::new(Hop::new(FaultyLink::new(link, cfg, seed)))
         });
+        let sealed = (hit && hop.is_none()).then(|| Arc::clone(&server));
         let rounds = Rounds::new(server, self.id, d.config.frame_budget, d.config.max_rounds);
-        self.phase = Phase::Serving { rounds, hop };
+        self.phase = Phase::Serving {
+            rounds,
+            sealed,
+            hop,
+        };
     }
 
     /// Queues what the rounds serve until the output buffer holds
     /// [`OUT_CAP`] bytes, the round ends, or the session does.
     pub(crate) fn pump(&mut self, d: &Daemon) {
-        let Phase::Serving { rounds, hop } = &mut self.phase else {
+        let Phase::Serving {
+            rounds,
+            sealed,
+            hop,
+        } = &mut self.phase
+        else {
             return;
         };
+        // The event engine pumps on every readiness event, written out
+        // or not: drop what is written so the buffer holds only pending
+        // bytes.
+        self.out.drain(..self.out_pos);
+        self.out_pos = 0;
+        let sealed = sealed.as_deref().map(|s| s.sealed(put_frame_envelope));
+        let mut frames = 0;
         let mut close = None;
-        while self.out.len() - self.out_pos < OUT_CAP {
+        while self.out.len() < OUT_CAP {
             match rounds.next_action() {
-                Ok(Action::Frame(bytes)) => {
-                    d.stats.frames_sent.inc();
-                    let Some(hop) = hop.as_mut() else {
+                Ok(Action::Frame { index, bytes }) => {
+                    frames += 1;
+                    if let Some(hop) = hop.as_mut() {
+                        let (deliveries, faults) = hop.transmit(bytes);
+                        d.stats.faults_injected.add(faults);
+                        for delivery in deliveries {
+                            put_frame_envelope(&mut self.out, &delivery.bytes);
+                        }
+                    } else if let Some(envelope) = sealed.and_then(|s| s.envelope(index)) {
+                        self.out.extend_from_slice(envelope);
+                    } else {
                         put_frame_envelope(&mut self.out, bytes);
-                        continue;
-                    };
-                    let (deliveries, faults) = hop.transmit(bytes);
-                    d.stats.faults_injected.add(faults);
-                    for delivery in deliveries {
-                        put_frame_envelope(&mut self.out, &delivery.bytes);
                     }
                 }
                 Ok(Action::RoundEnd) => {
@@ -287,6 +316,7 @@ impl Session {
                 }
             }
         }
+        d.stats.frames_sent.add(frames);
         if let Some((msg, end)) = close {
             msg.encode_into(&mut self.out);
             self.phase = Phase::Draining(end);
@@ -301,14 +331,17 @@ impl Session {
     }
 }
 
-/// HELLO → prepared [`LiveServer`], with gateway failures mapped to
-/// wire error codes. Served through the gateway's one cache: its edge
-/// cache when the base station has one attached (a hit re-frames the
-/// at-rest cooked blob with zero codec work), its in-memory prepared
-/// map otherwise. Concurrent and repeat sessions for one request shape
-/// replay a single encode while the store holds the document
-/// generation it was cooked from.
-fn prepare(gateway: &Gateway, hello: &Hello) -> Result<Arc<LiveServer>, (ErrorCode, String)> {
+/// HELLO → prepared [`LiveServer`] and whether it was a cache hit, with
+/// gateway failures mapped to wire error codes. Served through the
+/// gateway's one cache: its edge cache when the base station has one
+/// attached (a hit re-frames the at-rest cooked blob with zero codec
+/// work), its in-memory prepared map otherwise. Concurrent and repeat
+/// sessions for one request shape replay a single encode while the
+/// store holds the document generation it was cooked from.
+fn prepare(
+    gateway: &Gateway,
+    hello: &Hello,
+) -> Result<(Arc<LiveServer>, bool), (ErrorCode, String)> {
     let request = Request::from_options(
         &hello.url,
         &hello.query,
@@ -318,14 +351,102 @@ fn prepare(gateway: &Gateway, hello: &Hello) -> Result<Arc<LiveServer>, (ErrorCo
         hello.gamma,
     )
     .map_err(|e| (ErrorCode::BadRequest, format!("{e}")))?;
-    gateway
-        .prepare_edge(&request)
-        .map(|(server, _hit)| server)
-        .map_err(|e| match e {
-            GatewayError::NotFound(_) => (ErrorCode::NotFound, format!("{e}")),
-            GatewayError::BadRequest(_) | GatewayError::Encoding(_) => {
-                (ErrorCode::BadRequest, format!("{e}"))
+    gateway.prepare_edge(&request).map_err(|e| match e {
+        GatewayError::NotFound(_) => (ErrorCode::NotFound, format!("{e}")),
+        GatewayError::BadRequest(_) | GatewayError::Encoding(_) => {
+            (ErrorCode::BadRequest, format!("{e}"))
+        }
+        GatewayError::Edge(_) => (ErrorCode::Internal, format!("{e}")),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use mrtweb_docmodel::gen::SyntheticDocSpec;
+    use mrtweb_store::store::DocumentStore;
+
+    const URL: &str = "doc/0";
+
+    /// A daemon over one synthetic document of about `target_bytes`.
+    fn daemon(target_bytes: usize) -> Arc<Daemon> {
+        let store = Arc::new(DocumentStore::new(4));
+        let spec = SyntheticDocSpec {
+            target_bytes,
+            ..SyntheticDocSpec::default()
+        };
+        store.put(URL, spec.generate(3).document);
+        Daemon::new(Gateway::new(store), ServerConfig::default())
+    }
+
+    /// The transmission the daemon's gateway serves for `hello`.
+    fn prepared(d: &Daemon, hello: &Hello) -> Arc<LiveServer> {
+        prepare(&d.gateway, hello)
+            .expect("the document is in the store")
+            .0
+    }
+
+    /// Serves session `id`'s first round to a peer that takes at most
+    /// `chunk` bytes per write, pumping before every write as the event
+    /// engine does. Returns the bytes written and the largest output
+    /// buffer seen after a pump.
+    fn first_round(d: &Daemon, id: u64, hello: &Hello, chunk: usize) -> (Vec<u8>, usize) {
+        let mut s = Session::new(id);
+        s.absorb(&Message::Hello(hello.clone()).encode(), d);
+        let (mut wire, mut peak) = (Vec::new(), 0);
+        loop {
+            s.pump(d);
+            peak = peak.max(s.out.len());
+            let n = s.pending().len().min(chunk);
+            if n == 0 && s.turn() != Turn::Serve {
+                return (wire, peak);
             }
-            GatewayError::Edge(_) => (ErrorCode::Internal, format!("{e}")),
-        })
+            wire.extend_from_slice(&s.pending()[..n]);
+            s.wrote(n, d);
+        }
+    }
+
+    #[test]
+    fn clean_sessions_send_what_the_message_encoder_sends() {
+        let d = daemon(SyntheticDocSpec::default().target_bytes);
+        let hello = Hello::new(URL, "");
+        // Session 0 cooks and envelopes frame by frame, session 1 hits
+        // the cache and seals, session 2 copies what session 1 sealed.
+        let wires: Vec<Vec<u8>> = (0..3)
+            .map(|id| first_round(&d, id, &hello, usize::MAX).0)
+            .collect();
+        let server = prepared(&d, &hello);
+        let mut expect = Message::Header(server.header().clone()).encode();
+        for i in 0..server.header().n {
+            let frame = server
+                .frame_bytes(i)
+                .expect("a cooked server holds every frame");
+            expect.extend_from_slice(&Message::Frame(frame.to_vec()).encode());
+        }
+        expect.extend_from_slice(&Message::RoundEnd.encode());
+        for (id, wire) in wires.iter().enumerate() {
+            assert_eq!(*wire, expect, "session {id}");
+        }
+    }
+
+    #[test]
+    fn a_slow_reader_leaves_only_pending_bytes_buffered() {
+        let d = daemon(400_000);
+        let hello = Hello {
+            packet_size: 4096,
+            ..Hello::new(URL, "")
+        };
+        let server = prepared(&d, &hello);
+        let frame = server
+            .frame_bytes(0)
+            .expect("a cooked server holds every frame");
+        let envelope = Message::Frame(frame.to_vec()).encode().len();
+        let (wire, peak) = first_round(&d, 0, &hello, 8 * 1024);
+        assert!(wire.len() > 8 * OUT_CAP, "a {} B round", wire.len());
+        assert!(
+            peak <= OUT_CAP + envelope,
+            "output buffer reached {peak} B (cap {OUT_CAP} + one {envelope} B envelope)"
+        );
+    }
 }

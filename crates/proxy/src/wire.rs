@@ -108,7 +108,9 @@ pub struct Hello {
     pub measure: String,
     /// Raw packet size in bytes.
     pub packet_size: u32,
-    /// Redundancy ratio γ (cooked = ⌈γ·raw⌉), transported as IEEE bits.
+    /// Redundancy ratio γ (cooked `N = max(M, round(γ·M))`, see
+    /// [`cooked_packets`](mrtweb_erasure::redundancy::cooked_packets)),
+    /// transported as IEEE bits.
     pub gamma: f64,
 }
 
@@ -478,11 +480,7 @@ impl Message {
     /// allocation — the send path for buffered writers: a server batches
     /// many envelopes into one socket write by appending them all here.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len_at = out.len();
-        put_u32(out, 0); // length placeholder, patched below
-        let payload_at = out.len();
-        out.push(0); // type placeholder
-        let t = match self {
+        put_envelope(out, |out| match self {
             Message::Hello(h) => {
                 out.push(h.version);
                 put_str(out, &h.url);
@@ -521,16 +519,7 @@ impl Message {
                 put_stats(out, s);
                 T_STATS_REPLY
             }
-        };
-        if let Some(slot) = out.get_mut(payload_at) {
-            *slot = t;
-        }
-        let len = out.len() - payload_at;
-        if let Some(dst) = out.get_mut(len_at..len_at.saturating_add(4)) {
-            dst.copy_from_slice(&(len as u32).to_be_bytes());
-        }
-        let crc = crc32(out.get(payload_at..).unwrap_or(&[]));
-        put_u32(out, crc);
+        });
     }
 
     /// Parses one complete envelope (length prefix through CRC).
@@ -649,21 +638,50 @@ impl Message {
     }
 }
 
+/// Appends one envelope to `out`: `len ‖ type ‖ body ‖ crc32`, where
+/// `body` appends the body and returns the type byte. The one envelope
+/// writer behind [`Message::encode_into`], [`put_frame_envelope`] and
+/// [`put_header_envelope`].
+fn put_envelope(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>) -> u8) {
+    let len_at = out.len();
+    put_u32(out, 0); // length placeholder, patched below
+    let payload_at = out.len();
+    out.push(0); // type placeholder
+    let t = body(out);
+    if let Some(slot) = out.get_mut(payload_at) {
+        *slot = t;
+    }
+    let len = out.len() - payload_at;
+    if let Some(dst) = out.get_mut(len_at..len_at.saturating_add(4)) {
+        dst.copy_from_slice(&(len as u32).to_be_bytes());
+    }
+    let crc = crc32(out.get(payload_at..).unwrap_or(&[]));
+    put_u32(out, crc);
+}
+
 /// Appends a FRAME envelope carrying `payload` to `out`, bypassing
 /// [`Message`] construction entirely.
 ///
-/// The event-driven server sends tens of frames per round from cached
-/// wire bytes; this writes `len ‖ type ‖ payload ‖ crc32` straight into
-/// the session's output buffer — no `Vec<u8>` clone per frame, no
-/// intermediate envelope. Byte-identical to
-/// `Message::Frame(payload.to_vec()).encode()`.
+/// This writes `len ‖ type ‖ payload ‖ crc32` straight into a buffer —
+/// no `Vec<u8>` clone per frame, no intermediate envelope — and it is
+/// the seal the proxy passes to
+/// [`LiveServer::sealed`](mrtweb_transport::live::LiveServer::sealed).
+/// Byte-identical to `Message::Frame(payload.to_vec()).encode()`.
 pub fn put_frame_envelope(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u32(out, payload.len().saturating_add(1) as u32);
-    let payload_at = out.len();
-    out.push(T_FRAME);
-    out.extend_from_slice(payload);
-    let crc = crc32(out.get(payload_at..).unwrap_or(&[]));
-    put_u32(out, crc);
+    put_envelope(out, |out| {
+        out.extend_from_slice(payload);
+        T_FRAME
+    });
+}
+
+/// Appends a HEADER envelope describing `header` to `out`, borrowing
+/// the header instead of cloning it into a [`Message::Header`].
+/// Byte-identical to `Message::Header(header.clone()).encode()`.
+pub(crate) fn put_header_envelope(out: &mut Vec<u8>, header: &DocumentHeader) {
+    put_envelope(out, |out| {
+        put_header(out, header);
+        T_HEADER
+    });
 }
 
 /// A complete envelope split off the head of a buffer:
@@ -790,6 +808,11 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrtweb_content::sc::{Measure, StructuralCharacteristic};
+    use mrtweb_docmodel::gen::SyntheticDocSpec;
+    use mrtweb_docmodel::lod::Lod;
+    use mrtweb_textproc::pipeline::ScPipeline;
+    use mrtweb_transport::live::{cook, LiveServer};
 
     fn header_fixture() -> DocumentHeader {
         DocumentHeader {
@@ -966,6 +989,37 @@ mod tests {
             let mut fast = Vec::new();
             put_frame_envelope(&mut fast, payload);
             assert_eq!(fast, Message::Frame(payload.to_vec()).encode());
+        }
+    }
+
+    #[test]
+    fn sealed_envelopes_match_message_encode() {
+        let doc = SyntheticDocSpec::default().generate(5).document;
+        let sc = StructuralCharacteristic::from_index(&ScPipeline::default().run(&doc), None);
+        let (header, packets) = cook(&doc, &sc, Lod::Paragraph, Measure::Ic, 256, 1.5).unwrap();
+        let (m, n) = (header.m, header.n);
+        let cooked =
+            LiveServer::from_cooked(header.clone(), packets.iter().cloned().map(Some).collect())
+                .unwrap();
+        // An edge-cache entry with every other parity packet trimmed.
+        let trimmed = LiveServer::from_cooked(
+            header,
+            packets
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| (i < m || i % 2 == 0).then_some(p))
+                .collect(),
+        )
+        .unwrap();
+        assert!(trimmed.frame_bytes(m + 1).is_none());
+        for server in [cooked, trimmed] {
+            let sealed = server.sealed(put_frame_envelope);
+            for i in 0..=n {
+                let expect = server
+                    .frame_bytes(i)
+                    .map(|frame| Message::Frame(frame.to_vec()).encode());
+                assert_eq!(sealed.envelope(i), expect.as_deref(), "frame {i} of {n}");
+            }
         }
     }
 

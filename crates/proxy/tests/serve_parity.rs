@@ -343,7 +343,7 @@ fn over_core(server: Arc<LiveServer>, case: &Case) -> Transcript {
         let mut in_round = 0;
         loop {
             let deliveries = match rounds.next_action() {
-                Ok(Action::Frame(bytes)) => match hop.as_mut() {
+                Ok(Action::Frame { bytes, .. }) => match hop.as_mut() {
                     Some(hop) => {
                         let (deliveries, drawn) = hop.transmit(bytes);
                         faults += drawn;

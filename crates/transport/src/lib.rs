@@ -3,8 +3,9 @@
 //! Implements §4.2 of Leong et al. (ICDCS 2000). A document is
 //! partitioned at a chosen LOD, its units permuted in descending
 //! (query-based) information content, the permuted byte stream split
-//! into `M` raw packets and dispersed into `N = ⌈γM⌉` cooked packets
-//! (clear-text prefix first), and the stream pushed over the lossy
+//! into `M` raw packets and dispersed into `N = max(M, round(γ·M))`
+//! cooked packets ([`cooked_packets`](mrtweb_erasure::redundancy::cooked_packets),
+//! clear-text prefix first), and the stream pushed over the lossy
 //! FIFO channel. The client discards corrupted packets, accrues
 //! information content progressively from intact clear-text packets,
 //! reconstructs once any `M` distinct intact cooked packets arrive, and

@@ -14,8 +14,9 @@
 //! clear-text bytes land, requests retransmission of what it lacks, and
 //! reconstructs the document from any `M` intact cooked packets.
 
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use mrtweb_channel::bandwidth::Bandwidth;
@@ -115,10 +116,11 @@ pub enum ClientEvent {
 
 /// The server side: owns the encoded document.
 ///
-/// All `N` cooked packets are encoded once ([`cook`]) and framed once
-/// ([`LiveServer::from_cooked`]), so retransmission rounds replay
-/// cached wire bytes instead of redoing GF(2⁸) math and CRCs per
-/// request.
+/// All `N` cooked packets are encoded once ([`cook`]), framed once
+/// ([`LiveServer::from_cooked`]) and, for a server that puts them in a
+/// delivery envelope, sealed once ([`LiveServer::sealed`]), so
+/// retransmission rounds and repeat sessions replay cached wire bytes
+/// instead of redoing GF(2⁸) math and CRCs per request.
 #[derive(Debug)]
 pub struct LiveServer {
     header: DocumentHeader,
@@ -127,6 +129,28 @@ pub struct LiveServer {
     /// that trimmed parity, or a blob record that rotted at rest);
     /// serving routes skip it and any `M` of the rest still suffice.
     wire_frames: Vec<Option<Vec<u8>>>,
+    /// `wire_frames` in their delivery envelopes, built by the first
+    /// [`LiveServer::sealed`] call.
+    sealed: OnceLock<Sealed>,
+}
+
+/// Every frame a [`LiveServer`] holds, sealed once into its delivery
+/// envelope: the envelopes back to back in index order, one span each.
+#[derive(Debug)]
+pub struct Sealed {
+    bytes: Vec<u8>,
+    /// `spans[i]` is envelope `i` within `bytes`; `None` for a frame
+    /// the server does not hold.
+    spans: Vec<Option<Range<usize>>>,
+}
+
+impl Sealed {
+    /// The sealed envelope of frame `index`. `None` for a frame the
+    /// server does not hold and for an index `≥ N`.
+    pub fn envelope(&self, index: usize) -> Option<&[u8]> {
+        let span = self.spans.get(index)?.clone()?;
+        self.bytes.get(span)
+    }
 }
 
 impl LiveServer {
@@ -226,6 +250,7 @@ impl LiveServer {
         Ok(LiveServer {
             header,
             wire_frames,
+            sealed: OnceLock::new(),
         })
     }
 
@@ -263,6 +288,34 @@ impl LiveServer {
             })?;
         slot.as_deref()
             .ok_or(TransportError::FrameNotHeld { index })
+    }
+
+    /// Every held frame sealed into its delivery envelope by `seal`,
+    /// which appends the envelope of one frame's wire bytes to a
+    /// buffer. A server that wraps frames for its own wire (the proxy's
+    /// FRAME envelope, CRC included) then copies finished envelopes on
+    /// every session instead of rebuilding them per frame.
+    ///
+    /// The first call seals, once even under concurrent callers; later
+    /// calls return those bytes whatever `seal` they pass, so a server
+    /// serves one envelope format. The bytes cost one more copy of the
+    /// frames and live as long as the server, so whichever cache drops
+    /// a stale transmission drops its envelopes with it.
+    pub fn sealed(&self, seal: fn(&mut Vec<u8>, &[u8])) -> &Sealed {
+        self.sealed.get_or_init(|| {
+            let mut bytes = Vec::new();
+            let spans = self
+                .wire_frames
+                .iter()
+                .map(|frame| {
+                    let start = bytes.len();
+                    seal(&mut bytes, frame.as_deref()?);
+                    Some(start..bytes.len())
+                })
+                .collect();
+            bytes.shrink_to_fit();
+            Sealed { bytes, spans }
+        })
     }
 }
 
@@ -588,7 +641,7 @@ fn serve<L: LossModel>(
 ) {
     loop {
         let (deliveries, then) = match rounds.next_action() {
-            Ok(Action::Frame(bytes)) => (hop.transmit(bytes).0, None),
+            Ok(Action::Frame { bytes, .. }) => (hop.transmit(bytes).0, None),
             // Nothing left on the wire this round: held (reordered)
             // frames can no longer be overtaken.
             Ok(Action::RoundEnd) => (hop.flush(), Some(Wire::RoundEnd)),
@@ -624,6 +677,8 @@ mod tests {
     use super::*;
     use mrtweb_content::query::Query;
     use mrtweb_textproc::pipeline::ScPipeline;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     fn fixture() -> (Document, StructuralCharacteristic) {
         let doc = Document::parse_xml(
@@ -830,6 +885,40 @@ mod tests {
             Err(TransportError::FrameOutOfRange { .. })
         ));
         assert!(srv.frame_checked(0).is_ok());
+    }
+
+    static SEALS: AtomicUsize = AtomicUsize::new(0);
+
+    /// A seal that leaves the frame as it is and counts the call.
+    fn counting_seal(out: &mut Vec<u8>, frame: &[u8]) {
+        SEALS.fetch_add(1, Ordering::SeqCst);
+        out.extend_from_slice(frame);
+    }
+
+    #[test]
+    fn sessions_sharing_a_server_seal_each_held_frame_once() {
+        const SESSIONS: usize = 8;
+        let (doc, sc) = fixture();
+        let (header, cooked) = cook(&doc, &sc, Lod::Paragraph, Measure::Qic, 32, 1.5).unwrap();
+        let n = header.n;
+        let mut packets: Vec<Option<Vec<u8>>> = cooked.into_iter().map(Some).collect();
+        packets[n - 1] = None;
+        let srv = Arc::new(LiveServer::from_cooked(header, packets).unwrap());
+        let start = Barrier::new(SESSIONS);
+        thread::scope(|s| {
+            for _ in 0..SESSIONS {
+                let srv = Arc::clone(&srv);
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    let sealed = srv.sealed(counting_seal);
+                    for i in 0..=n {
+                        assert_eq!(sealed.envelope(i), srv.frame_bytes(i), "frame {i}");
+                    }
+                });
+            }
+        });
+        assert_eq!(SEALS.load(Ordering::SeqCst), n - 1);
     }
 
     #[test]

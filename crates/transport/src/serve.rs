@@ -35,7 +35,13 @@ use crate::live::LiveServer;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action<'a> {
     /// One cooked packet's wire framing, to send as a FRAME.
-    Frame(&'a [u8]),
+    Frame {
+        /// The packet's sequence number, the key into
+        /// [`LiveServer::sealed`] envelopes.
+        index: usize,
+        /// Its wire framing, [`LiveServer::frame_bytes`]`(index)`.
+        bytes: &'a [u8],
+    },
     /// The round is over: send ROUND_END and wait for REQUEST or DONE.
     RoundEnd,
     /// The round budget is spent: send GAVE_UP and close.
@@ -189,7 +195,7 @@ impl Rounds {
             }
             self.frames_sent += 1;
             emit(EventKind::FrameSent, self.session, index as u64);
-            return Ok(Action::Frame(bytes));
+            return Ok(Action::Frame { index, bytes });
         }
         end_round(&mut self.state, State::Waiting, self.started);
         Ok(Action::RoundEnd)
@@ -296,7 +302,10 @@ mod tests {
         let mut served = Vec::new();
         loop {
             match r.next_action() {
-                Ok(Action::Frame(bytes)) => served.push(bytes[2]),
+                Ok(Action::Frame { index, bytes }) => {
+                    assert_eq!(usize::from(bytes[2]), index);
+                    served.push(bytes[2]);
+                }
                 Ok(Action::RoundEnd) => return (served, Ok(Action::RoundEnd)),
                 Ok(Action::GaveUp) => return (served, Ok(Action::GaveUp)),
                 Ok(Action::Idle) => return (served, Ok(Action::Idle)),
@@ -363,7 +372,10 @@ mod tests {
     #[test]
     fn done_mid_round_ends_the_rounds() {
         let mut r = Rounds::new(server(4, |_| true), 0, u64::MAX, 4);
-        assert!(matches!(r.next_action(), Ok(Action::Frame(_))));
+        assert!(matches!(
+            r.next_action(),
+            Ok(Action::Frame { index: 0, .. })
+        ));
         r.done();
         assert_eq!(r.next_action(), Ok(Action::Idle));
         assert_eq!((r.rounds(), r.frames_sent()), (1, 1));

@@ -1,8 +1,9 @@
 //! A complete document download over a lossy link.
 //!
-//! Orchestrates the §4.2 protocol: send `N = ⌈γM⌉` cooked packets in
-//! QIC order, let the client discard corrupted ones, terminate when
-//! (1) `M` distinct intact packets allow reconstruction, (2) the user
+//! Orchestrates the §4.2 protocol: send `N = max(M, round(γ·M))`
+//! cooked packets ([`cooked_packets`]) in QIC order, let the client
+//! discard corrupted ones, terminate when (1) `M` distinct intact
+//! packets allow reconstruction, (2) the user
 //! judges the document irrelevant after accruing content `F` and hits
 //! "stop", or (3) the round ends *stalled* — in which case the document
 //! is retransmitted from scratch (**NoCaching**, the default HTTP
