@@ -101,22 +101,18 @@ const JUSTIFIED_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel"
 /// restricts the rule to the brace bodies of the named functions:
 /// `broadcast.rs` mixes the frame codec with a large carousel
 /// scheduler whose internal indexing never touches attacker-controlled
-/// bytes, so only its decode surface is designated.
+/// bytes, so only its decode surface is designated: the air-frame
+/// parser and the listener's check of each on-air record.
 pub const WIRE_PARSER_SURFACES: &[(&str, Option<&[&str]>)] = &[
+    ("crates/erasure/src/cursor.rs", None),
+    ("crates/erasure/src/packet.rs", None),
     ("crates/proxy/src/wire.rs", None),
     ("crates/store/src/codec.rs", None),
     ("crates/store/src/migrate.rs", None),
     ("crates/analysis/src/benchgate.rs", None),
     (
         "crates/transport/src/broadcast.rs",
-        Some(&[
-            "get_exact",
-            "get_u8",
-            "get_u16",
-            "get_u32",
-            "get_u64",
-            "parse_frame",
-        ]),
+        Some(&["parse_frame", "feed_record"]),
     ),
 ];
 

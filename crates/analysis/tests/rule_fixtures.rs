@@ -527,6 +527,17 @@ fn f(buf: &[u8]) -> Option<u8> {
 }
 
 #[test]
+fn raw_indexing_in_the_frame_parser_is_a_finding() {
+    // The transport frame parser is a surface of its own: it reads
+    // every frame the wireless hop delivers.
+    let src =
+        "fn f(wire: &[u8]) -> u16 {\n    u16::from_be_bytes([wire[0], wire[wire.len() - 1]])\n}\n";
+    let f = scan_source("erasure", "crates/erasure/src/packet.rs", src, false);
+    assert_eq!(rules(&f), ["untrusted-parser"]);
+    assert_eq!(f[0].line, 2);
+}
+
+#[test]
 fn the_same_code_outside_wire_modules_is_not_flagged() {
     let src = "fn f(buf: &[u8], i: usize) -> u8 { buf[i] }\n";
     let f = scan_source("proxy", "crates/proxy/src/server.rs", src, false);

@@ -1,7 +1,5 @@
 //! Transmission-time accounting for a fixed-rate link.
 
-use serde::{Deserialize, Serialize};
-
 /// A link bandwidth.
 ///
 /// # Example
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let bw = Bandwidth::from_kbps(19.2); // the paper's Table 2 value
 /// assert_eq!(bw.bytes_per_second(), 2400.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bandwidth {
     bits_per_second: f64,
 }

@@ -6,8 +6,6 @@
 //! [`EwmaEstimator`] maintains that summarized value from per-packet
 //! intact/corrupted observations.
 
-use serde::{Deserialize, Serialize};
-
 /// Exponentially-weighted moving average of a 0/1 corruption stream.
 ///
 /// `estimate ← (1 − β)·estimate + β·observation`, where `β` is the gain
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!(est.estimate() > 0.99);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaEstimator {
     gain: f64,
     estimate: f64,

@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 
 use mrtweb_textproc::index::DocumentIndex;
-use serde::{Deserialize, Serialize};
 
 use crate::query::Query;
 
@@ -40,7 +39,7 @@ use crate::query::Query;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// stem → interest weight (may not go below zero).
     interests: BTreeMap<String, f64>,

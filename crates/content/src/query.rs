@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use mrtweb_textproc::pipeline::ScPipeline;
 use mrtweb_textproc::recognizer::tokenize;
-use serde::{Deserialize, Serialize};
 
 use crate::weights::keyword_weight;
 
@@ -33,7 +32,7 @@ use crate::weights::keyword_weight;
 /// assert_eq!(q.weight("web"), 2.0);
 /// assert_eq!(q.weight("absent"), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Query {
     counts: BTreeMap<String, u64>,
 }

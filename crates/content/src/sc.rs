@@ -13,13 +13,12 @@ use std::fmt::Write as _;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_docmodel::unit::UnitPath;
 use mrtweb_textproc::index::DocumentIndex;
-use serde::{Deserialize, Serialize};
 
 use crate::query::Query;
 use crate::weights::keyword_weight;
 
 /// Which content measure orders the transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Measure {
     /// Static information content (no query context).
     #[default]
@@ -70,7 +69,7 @@ impl std::str::FromStr for Measure {
 }
 
 /// One row of the structural characteristic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScEntry {
     /// Path from the document root.
     pub path: UnitPath,
@@ -91,7 +90,7 @@ pub struct ScEntry {
 }
 
 /// The structural characteristic of a document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructuralCharacteristic {
     entries: Vec<ScEntry>,
 }

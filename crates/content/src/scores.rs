@@ -9,10 +9,9 @@
 
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_docmodel::unit::UnitPath;
-use serde::{Deserialize, Serialize};
 
 /// The score of one unit (own text only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitScore {
     /// Path from the document root.
     pub path: UnitPath,
@@ -25,7 +24,7 @@ pub struct UnitScore {
 }
 
 /// Own-scores for every unit of a document, in preorder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentScores {
     scores: Vec<UnitScore>,
 }

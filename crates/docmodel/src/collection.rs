@@ -10,12 +10,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::Document;
 
 /// A hyperlink between two pages of a collection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HyperLink {
     /// Key of the page containing the anchor.
     pub from: String,
@@ -42,7 +40,7 @@ pub struct HyperLink {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Collection {
     root: String,
     pages: BTreeMap<String, Document>,

@@ -1,7 +1,5 @@
 //! The document type: a unit tree plus identity metadata.
 
-use serde::{Deserialize, Serialize};
-
 use crate::lod::Lod;
 use crate::unit::{Unit, UnitRef};
 use crate::xml::{self, ParseError, Schema};
@@ -26,7 +24,7 @@ use crate::xml::{self, ParseError, Schema};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     root: Unit,
 }

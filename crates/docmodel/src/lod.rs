@@ -6,7 +6,6 @@
 //! abstraction over the actual markup tags; the [`crate::xml::Schema`]
 //! maps element names onto these levels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -24,7 +23,7 @@ use std::str::FromStr;
 /// assert_eq!(Lod::Section.finer(), Some(Lod::Subsection));
 /// assert_eq!(Lod::Document.coarser(), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lod {
     /// The whole document — transmitting at this LOD is the conventional
     /// sequential paradigm.

@@ -12,7 +12,6 @@
 //! Table 1, and [`Unit::partition_at`] computes the disjoint cover of a
 //! document at a chosen LOD that the transmitter ranks and sends.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::lod::Lod;
@@ -22,7 +21,7 @@ use crate::lod::Lod;
 /// The paper's keyword extractor gives specially formatted words
 /// (boldfaced, italicized) automatic keyword status; the parser
 /// preserves that signal here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Inline {
     /// The text of the run.
     pub text: String,
@@ -62,7 +61,7 @@ impl Inline {
 /// section.push_child(para);
 /// assert_eq!(section.units_at(Lod::Paragraph).len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unit {
     kind: Lod,
     title: Option<String>,
@@ -361,7 +360,7 @@ impl Unit {
 ///
 /// Rendered in the paper's Table 1 style: section 3, subsection 2,
 /// paragraph 1 displays as `3.2.1`; the root displays as `*`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UnitPath(Vec<usize>);
 
 impl UnitPath {

@@ -7,14 +7,12 @@
 //! checks the structural conventions the rest of the stack relies on and
 //! reports every violation with the unit's path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::Document;
 use crate::lod::Lod;
 use crate::unit::{Unit, UnitPath};
 
 /// A single structural complaint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Path of the offending unit.
     pub path: String,
@@ -23,7 +21,7 @@ pub struct Violation {
 }
 
 /// The kinds of structural problems the validator reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViolationKind {
     /// A child is at the same or a coarser LOD than its parent
     /// (e.g. a section inside a paragraph).

@@ -12,8 +12,6 @@
 //! are written row-major and read column-major. Depth (`rows`) should
 //! exceed the expected burst length.
 
-use serde::{Deserialize, Serialize};
-
 /// A block interleaver over packet indices.
 ///
 /// # Example
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(&order[..4], &[0, 4, 8, 1]);
 /// assert_eq!(il.restore(&order[..]), (0..12).collect::<Vec<_>>());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Interleaver {
     n: usize,
     rows: usize,

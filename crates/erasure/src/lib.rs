@@ -20,6 +20,8 @@
 //!   in clear text;
 //! * [`crc`] — CRC-16/CCITT and CRC-32/IEEE checksums used to detect
 //!   per-packet corruption;
+//! * [`cursor`] — the one bounds-checked byte reader every binary
+//!   format parses through (proxy wire, air frames, MRTB, MRTM);
 //! * [`packet`] — the wire framing (sequence number + payload + CRC)
 //!   whose 4-byte overhead matches the paper's Table 2;
 //! * [`redundancy`] — the negative-binomial model used to pick the number
@@ -53,6 +55,7 @@
 
 pub mod cauchy;
 pub mod crc;
+pub mod cursor;
 pub mod gf256;
 pub mod ida;
 pub mod incremental;

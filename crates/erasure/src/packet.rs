@@ -11,8 +11,6 @@
 //! detects *missing* frames from gaps in the sequence numbers of later
 //! frames — exactly the datalink-layer discipline the paper assumes.
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::crc::crc16;
 use crate::Error;
 
@@ -64,13 +62,13 @@ impl Frame {
     }
 
     /// Serializes the frame: `seq (2B BE) | payload | crc16 (2B BE)`.
-    pub fn to_wire(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.payload.len() + FRAME_OVERHEAD);
-        buf.put_u16(self.sequence);
-        buf.put_slice(&self.payload);
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.payload.len().saturating_add(FRAME_OVERHEAD));
+        buf.extend_from_slice(&self.sequence.to_be_bytes());
+        buf.extend_from_slice(&self.payload);
         let crc = crc16(&buf);
-        buf.put_u16(crc);
-        buf.freeze()
+        buf.extend_from_slice(&crc.to_be_bytes());
+        buf
     }
 
     /// Parses and verifies a frame with the given payload length.
@@ -80,30 +78,32 @@ impl Frame {
     /// [`Error::MalformedFrame`] if the buffer length is wrong or the CRC
     /// does not match (i.e. the frame was corrupted in transit).
     pub fn from_wire(wire: &[u8], payload_len: usize) -> Result<Self, Error> {
-        if wire.len() != payload_len + FRAME_OVERHEAD {
-            return Err(Error::MalformedFrame("wrong frame length"));
-        }
-        let body = &wire[..wire.len() - 2];
-        let stored = u16::from_be_bytes([wire[wire.len() - 2], wire[wire.len() - 1]]);
-        if crc16(body) != stored {
-            return Err(Error::MalformedFrame("CRC mismatch"));
-        }
-        let sequence = u16::from_be_bytes([wire[0], wire[1]]);
+        let (sequence, payload) = split_checked(wire, payload_len)?;
         Ok(Frame {
             sequence,
-            payload: wire[2..wire.len() - 2].to_vec(),
+            payload: payload.to_vec(),
         })
     }
 
     /// Checks integrity without allocating a [`Frame`].
     pub fn verify_wire(wire: &[u8], payload_len: usize) -> bool {
-        if wire.len() != payload_len + FRAME_OVERHEAD {
-            return false;
-        }
-        let body = &wire[..wire.len() - 2];
-        let stored = u16::from_be_bytes([wire[wire.len() - 2], wire[wire.len() - 1]]);
-        crc16(body) == stored
+        split_checked(wire, payload_len).is_ok()
     }
+}
+
+/// The sequence number and payload of a frame whose length and CRC-16
+/// check out.
+fn split_checked(wire: &[u8], payload_len: usize) -> Result<(u16, &[u8]), Error> {
+    let wrong_length = || Error::MalformedFrame("wrong frame length");
+    let (body, stored) = wire.split_last_chunk().ok_or_else(wrong_length)?;
+    let (sequence, payload) = body.split_first_chunk().ok_or_else(wrong_length)?;
+    if payload.len() != payload_len {
+        return Err(wrong_length());
+    }
+    if crc16(body) != u16::from_be_bytes(*stored) {
+        return Err(Error::MalformedFrame("CRC mismatch"));
+    }
+    Ok((u16::from_be_bytes(*sequence), payload))
 }
 
 /// Tracks sequence numbers on the receive path to detect missing frames.
@@ -173,7 +173,7 @@ mod tests {
         let f = Frame::new(5, vec![9; 16]);
         let wire = f.to_wire();
         for i in 0..wire.len() {
-            let mut bad = wire.to_vec();
+            let mut bad = wire.clone();
             bad[i] ^= 0x40;
             assert!(
                 Frame::from_wire(&bad, 16).is_err(),

@@ -128,7 +128,7 @@ proptest! {
         prop_assert_eq!(parsed.sequence(), seq);
         prop_assert_eq!(parsed.payload(), payload.as_slice());
 
-        let mut bad = wire.to_vec();
+        let mut bad = wire.clone();
         let i = flip_byte % bad.len();
         bad[i] ^= flip_mask;
         prop_assert!(Frame::from_wire(&bad, payload.len()).is_err());

@@ -324,8 +324,11 @@ impl Session {
         d.stats.note_outbuf(self.pending().len() as u64);
     }
 
-    /// Queues a typed error and closes with `end`.
-    fn fail(&mut self, code: ErrorCode, detail: String, end: SessionEnd) {
+    /// Queues a typed error and closes with `end`. The detail may quote
+    /// the peer's HELLO, so it is cut to what the wire's u16 string
+    /// length can carry, at a char boundary.
+    fn fail(&mut self, code: ErrorCode, mut detail: String, end: SessionEnd) {
+        detail.truncate(detail.floor_char_boundary(usize::from(u16::MAX)));
         Message::Error { code, detail }.encode_into(&mut self.out);
         self.phase = Phase::Draining(end);
     }

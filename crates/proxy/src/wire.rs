@@ -25,6 +25,7 @@
 use std::io::{Read, Write};
 
 use mrtweb_erasure::crc::crc32;
+use mrtweb_erasure::cursor::{Reader, Short};
 use mrtweb_transport::live::DocumentHeader;
 use mrtweb_transport::plan::{TransmissionPlan, UnitSlice};
 
@@ -255,69 +256,15 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 // ── body reader ─────────────────────────────────────────────────────
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<Short> for WireError {
+    fn from(_: Short) -> Self {
+        WireError::Malformed("body shorter than a field")
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(WireError::Malformed("body shorter than a field"))?;
-        let out = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(WireError::Malformed("body shorter than a field"))?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_be_bytes(raw))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("invalid UTF-8"))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let out = self.buf.get(self.pos..).unwrap_or(&[]);
-        self.pos = self.buf.len();
-        out
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after body"))
-        }
-    }
+fn get_str(r: &mut Reader<'_>) -> Result<String, WireError> {
+    let len = usize::from(r.u16()?);
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| WireError::Malformed("invalid UTF-8"))
 }
 
 // ── header (de)serialization ────────────────────────────────────────
@@ -343,12 +290,12 @@ fn read_header(r: &mut Reader<'_>) -> Result<DocumentHeader, WireError> {
     let packet_size = r.u32()? as usize;
     let count = r.u32()? as usize;
     // Each slice needs ≥ 18 body bytes; an absurd count is hostile.
-    if count > r.buf.len() / 18 + 1 {
+    if count > r.remaining() / 18 {
         return Err(WireError::Malformed("slice count exceeds body size"));
     }
     let mut slices = Vec::with_capacity(count);
     for _ in 0..count {
-        let label = r.string()?;
+        let label = get_str(r)?;
         let bytes = r.u64()? as usize;
         let content = f64::from_bits(r.u64()?);
         slices.push(UnitSlice::new(label, bytes, content));
@@ -415,19 +362,19 @@ fn read_stats(r: &mut Reader<'_>) -> Result<RegistrySnapshot, WireError> {
     let n_counters = r.u16()? as usize;
     let mut counters = Vec::with_capacity(n_counters);
     for _ in 0..n_counters {
-        let name = r.string()?;
+        let name = get_str(r)?;
         counters.push((name, r.u64()?));
     }
     let n_gauges = r.u16()? as usize;
     let mut gauges = Vec::with_capacity(n_gauges);
     for _ in 0..n_gauges {
-        let name = r.string()?;
+        let name = get_str(r)?;
         gauges.push((name, r.u64()?.cast_signed()));
     }
     let n_hists = r.u16()? as usize;
     let mut hists = Vec::with_capacity(n_hists);
     for _ in 0..n_hists {
-        let name = r.string()?;
+        let name = get_str(r)?;
         let count = r.u64()?;
         let sum = r.u64()?;
         let min = r.u64()?;
@@ -522,37 +469,34 @@ impl Message {
         });
     }
 
-    /// Parses one complete envelope (length prefix through CRC).
+    /// Parses one complete envelope (length prefix through CRC). The
+    /// one envelope parser: [`Message::read_from`] and
+    /// [`StreamDecoder`] hand it the envelopes they read.
     ///
     /// # Errors
     ///
     /// Any [`WireError`] parse variant; a truncated buffer, a mangled
     /// byte anywhere, or an unknown type never yields `Ok`.
     pub fn decode(envelope: &[u8]) -> Result<Message, WireError> {
-        let Some((payload, stored, total)) = split_envelope(envelope)? else {
+        let mut r = Reader::new(envelope);
+        let len = body_len(r.u32().map_err(|_| WireError::Truncated)?)?;
+        let (Ok(payload), Ok(stored)) = (r.take(len), r.u32()) else {
             return Err(WireError::Truncated);
         };
-        if envelope.len() > total {
+        if !r.is_empty() {
             return Err(WireError::Malformed("trailing bytes after envelope"));
         }
         if crc32(payload) != stored {
             return Err(WireError::CrcMismatch);
         }
-        let (&t, body) = payload
-            .split_first()
-            .ok_or(WireError::Malformed("empty payload"))?;
-        Message::decode_payload(t, body)
-    }
-
-    fn decode_payload(t: u8, body: &[u8]) -> Result<Message, WireError> {
-        let mut r = Reader::new(body);
-        let msg = match t {
+        let mut r = Reader::new(payload);
+        let msg = match r.u8()? {
             T_HELLO => {
                 let version = r.u8()?;
-                let url = r.string()?;
-                let query = r.string()?;
-                let lod = r.string()?;
-                let measure = r.string()?;
+                let url = get_str(&mut r)?;
+                let query = get_str(&mut r)?;
+                let lod = get_str(&mut r)?;
+                let measure = get_str(&mut r)?;
                 let packet_size = r.u32()?;
                 let gamma = f64::from_bits(r.u64()?);
                 Message::Hello(Hello {
@@ -567,9 +511,8 @@ impl Message {
             }
             T_REQUEST => {
                 let count = r.u32()? as usize;
-                // body.len() >= 4 here (r.u32 just consumed 4 bytes);
-                // a count whose doubling overflows is a mismatch too.
-                if count.checked_mul(2) != body.len().checked_sub(4) {
+                // A count whose doubling overflows is a mismatch too.
+                if count.checked_mul(2) != Some(r.remaining()) {
                     return Err(WireError::Malformed("request count mismatch"));
                 }
                 let mut ids = Vec::with_capacity(count);
@@ -587,13 +530,15 @@ impl Message {
             T_ERROR => {
                 let code = ErrorCode::from_u8(r.u8()?)
                     .ok_or(WireError::Malformed("unknown error code"))?;
-                let detail = r.string()?;
+                let detail = get_str(&mut r)?;
                 Message::Error { code, detail }
             }
             T_STATS_REPLY => Message::StatsReply(read_stats(&mut r)?),
             other => return Err(WireError::BadType(other)),
         };
-        r.finish()?;
+        if !r.is_empty() {
+            return Err(WireError::Malformed("trailing bytes after body"));
+        }
         Ok(msg)
     }
 
@@ -615,27 +560,26 @@ impl Message {
     /// for hostile/garbled input. A clean EOF before the first byte
     /// surfaces as `Io(UnexpectedEof)`.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Message, WireError> {
-        let mut len_buf = [0u8; 4];
-        r.read_exact(&mut len_buf)?;
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len == 0 || len > MAX_BODY {
-            return Err(WireError::BadLength(len));
-        }
-        // len <= MAX_BODY, so the widened allocation cannot overflow.
-        let mut rest = vec![0u8; len.saturating_add(4)];
-        r.read_exact(&mut rest)?;
-        let (Some(payload), Some(crc_bytes)) = (rest.get(..len), rest.get(len..)) else {
-            return Err(WireError::Truncated);
-        };
-        let stored = u32::from_be_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if crc32(payload) != stored {
-            return Err(WireError::CrcMismatch);
-        }
-        let (&t, body) = payload
-            .split_first()
-            .ok_or(WireError::Malformed("empty payload"))?;
-        Message::decode_payload(t, body)
+        let mut prefix = [0u8; 4];
+        r.read_exact(&mut prefix)?;
+        // Checked before allocating: a hostile length fails here.
+        let total = body_len(u32::from_be_bytes(prefix))?.saturating_add(ENVELOPE_OVERHEAD);
+        let mut envelope = Vec::with_capacity(total);
+        envelope.extend_from_slice(&prefix);
+        envelope.resize(total, 0);
+        r.read_exact(envelope.get_mut(prefix.len()..).unwrap_or_default())?;
+        Message::decode(&envelope)
     }
+}
+
+/// The body length a length prefix declares, if it is in
+/// `1..=`[`MAX_BODY`].
+fn body_len(prefix: u32) -> Result<usize, WireError> {
+    let len = prefix as usize;
+    if len == 0 || len > MAX_BODY {
+        return Err(WireError::BadLength(len));
+    }
+    Ok(len)
 }
 
 /// Appends one envelope to `out`: `len ‖ type ‖ body ‖ crc32`, where
@@ -682,34 +626,6 @@ pub(crate) fn put_header_envelope(out: &mut Vec<u8>, header: &DocumentHeader) {
         put_header(out, header);
         T_HEADER
     });
-}
-
-/// A complete envelope split off the head of a buffer:
-/// `(payload, stored crc, total envelope length)`, or `None` while the
-/// buffer is still short of one whole envelope.
-type SplitEnvelope<'a> = Option<(&'a [u8], u32, usize)>;
-
-/// Splits the complete envelope at the head of `b`, panic-free on
-/// every input shape. `Ok(None)` means `b` does not yet hold a
-/// complete envelope (the incremental decoder's "absorb more" case);
-/// a hostile length prefix fails as soon as the 4 prefix bytes are
-/// present.
-fn split_envelope(b: &[u8]) -> Result<SplitEnvelope<'_>, WireError> {
-    let Some(len_bytes) = b.get(..4) else {
-        return Ok(None);
-    };
-    let len = u32::from_be_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-    if len == 0 || len > MAX_BODY {
-        return Err(WireError::BadLength(len));
-    }
-    // len <= MAX_BODY, so neither sum can overflow usize.
-    let body_end = 4usize.saturating_add(len);
-    let total = body_end.saturating_add(4);
-    let (Some(payload), Some(crc_bytes)) = (b.get(4..body_end), b.get(body_end..total)) else {
-        return Ok(None);
-    };
-    let stored = u32::from_be_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    Ok(Some((payload, stored, total)))
 }
 
 /// Incremental envelope decoder: absorbs arbitrarily-split byte chunks
@@ -770,22 +686,19 @@ impl StreamDecoder {
     /// The same parse variants as [`Message::decode`]; an error means
     /// the stream is corrupt and the connection should be dropped.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        // split_envelope validates the length prefix before waiting for
-        // the body: a hostile length must fail now, not buffer 4 GiB
-        // first.
         let b = self.buf.get(self.pos..).unwrap_or(&[]);
-        let Some((payload, stored, total)) = split_envelope(b)? else {
+        // The length prefix is checked before the body arrives: a
+        // hostile length must fail now, not buffer 4 GiB first.
+        let envelope = match Reader::new(b).u32() {
+            Ok(prefix) => b.get(..body_len(prefix)?.saturating_add(ENVELOPE_OVERHEAD)),
+            Err(Short) => None,
+        };
+        let Some(envelope) = envelope else {
             self.compact();
             return Ok(None);
         };
-        if crc32(payload) != stored {
-            return Err(WireError::CrcMismatch);
-        }
-        let (&t, body) = payload
-            .split_first()
-            .ok_or(WireError::Malformed("empty payload"))?;
-        let msg = Message::decode_payload(t, body)?;
-        self.pos += total;
+        let msg = Message::decode(envelope)?;
+        self.pos += envelope.len();
         if self.pos == self.buf.len() {
             self.buf.clear();
             self.pos = 0;

@@ -290,13 +290,26 @@ fn faulty_wireless_hop_still_reconstructs() {
 
 #[test]
 fn unknown_documents_are_refused_with_not_found() {
+    // The refusal quotes the URL escaped, so these two outgrow the
+    // wire's u16 string length: 40,000 quotes double when escaped, and
+    // 32,760 two-byte `é`s put the 65,535-byte mark inside a character.
+    let urls = [
+        "doc/absent".to_owned(),
+        "\"".repeat(40_000),
+        format!("a{}", "é".repeat(32_760)),
+    ];
     for engine in engines() {
         let server = start(engine, ServerConfig::default(), 1024);
-        let mut o = options();
-        o.url = "doc/absent".to_owned();
-        match fetch(server.local_addr(), &o) {
-            Err(FetchError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::NotFound),
-            other => panic!("wanted NotFound on {engine:?}, got {other:?}"),
+        for url in &urls {
+            let mut o = options();
+            o.url.clone_from(url);
+            match fetch(server.local_addr(), &o) {
+                Err(FetchError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::NotFound),
+                other => panic!(
+                    "wanted NotFound on {engine:?} for a {}-byte URL, got {other:?}",
+                    url.len()
+                ),
+            }
         }
         server.shutdown();
     }

@@ -16,13 +16,12 @@ use mrtweb_transport::adaptive::AdaptiveRedundancy;
 use mrtweb_transport::session::{download, Relevance, SessionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SimDocument;
 use crate::params::Params;
 
 /// How γ is chosen per document.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GammaPolicy {
     /// A fixed redundancy ratio (the paper's default experiments).
     Fixed(f64),
@@ -38,7 +37,7 @@ pub enum GammaPolicy {
 }
 
 /// Result of one adaptive-session run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveResult {
     /// Mean response time per document.
     pub mean_response_time: f64,

@@ -18,14 +18,13 @@ use mrtweb_transport::session::{download, Relevance, SessionConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SimDocument;
 use crate::params::Params;
 use crate::stats::Summary;
 
 /// Which transfer strategy a baseline session uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Fault-tolerant multi-resolution transmission at the given LOD.
     Mrt(Lod),
@@ -43,7 +42,7 @@ pub enum Strategy {
 }
 
 /// One measured strategy cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselinePoint {
     /// The strategy measured.
     pub strategy: Strategy,

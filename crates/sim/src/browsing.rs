@@ -15,14 +15,13 @@ use mrtweb_transport::session::{download, Outcome, Relevance, SessionConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SimDocument;
 use crate::params::Params;
 use crate::stats::Summary;
 
 /// What one browsing session measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionResult {
     /// Mean response time per document (seconds).
     pub mean_response_time: f64,

@@ -19,14 +19,13 @@ use mrtweb_docmodel::lod::Lod;
 use mrtweb_transport::session::{download, Relevance, SessionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SimDocument;
 use crate::params::Params;
 use crate::stats::Summary;
 
 /// One measured cell of the bursty/interleaving comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstyPoint {
     /// Mean burst length (packets) of the Gilbert–Elliott channel.
     pub burst_len: f64,

@@ -7,14 +7,13 @@
 
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_transport::session::CacheMode;
-use serde::{Deserialize, Serialize};
 
 use crate::browsing::replicate;
 use crate::params::Params;
 use crate::stats::Summary;
 
 /// How much work to spend per cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Documents per browsing session.
     pub docs: usize,
@@ -54,7 +53,7 @@ impl Scale {
 pub const ALPHAS: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
 
 /// One cell of Experiment 1 (Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp1Point {
     /// Cache mode of the panel.
     pub cache: CacheMode,
@@ -102,7 +101,7 @@ pub fn experiment1(scale: &Scale, seed: u64) -> Vec<Exp1Point> {
 }
 
 /// One cell of Experiment 2 (Figure 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp2Point {
     /// Cache mode of the panel.
     pub cache: CacheMode,
@@ -153,7 +152,7 @@ fn sweep_exp2(scale: &Scale, seed: u64, vary_i: bool) -> Vec<Exp2Point> {
 }
 
 /// One cell of Experiments 3 and 4 (Figures 6 and 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImprovementPoint {
     /// Channel corruption probability.
     pub alpha: f64,

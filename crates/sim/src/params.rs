@@ -2,7 +2,6 @@
 
 use mrtweb_erasure::redundancy::cooked_packets;
 use mrtweb_transport::session::CacheMode;
-use serde::{Deserialize, Serialize};
 
 /// Default experimental parameters (Table 2).
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// Document shape: 5 sections × 2 subsections × 2 paragraphs; browsing
 /// sessions visit 200 random documents; every experiment is repeated 50
 /// times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Raw bytes per packet (`s_p`).
     pub packet_size: usize,

@@ -6,10 +6,8 @@
 //! mean" (§5/§5.1). [`Summary`] reports exactly those quantities plus a
 //! 95% confidence interval.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean, spread and confidence interval of a set of repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of repetitions.
     pub n: usize,

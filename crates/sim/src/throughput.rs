@@ -18,14 +18,13 @@ use mrtweb_transport::session::{download, Relevance, SessionConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SimDocument;
 use crate::params::Params;
 use crate::stats::Summary;
 
 /// Throughput measurements for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputResult {
     /// Useful content units delivered per second of channel time.
     pub goodput: f64,

@@ -16,14 +16,13 @@ use mrtweb_transport::session::{download, Outcome, Relevance, SessionConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SimDocument;
 use crate::params::Params;
 use crate::stats::Summary;
 
 /// Outage configuration layered on the base channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageSpec {
     /// P(connected → disconnected) per packet.
     pub p_drop: f64,

@@ -5,13 +5,13 @@
 //! length-prefixed, and hardened against corrupt input (decoding
 //! arbitrary bytes returns an error, never panics or over-allocates).
 
-use bytes::{Buf, BufMut, BytesMut};
 use std::collections::BTreeMap;
 
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_docmodel::unit::{Inline, Unit, UnitPath};
 use mrtweb_erasure::crc::{crc32, Crc32};
+use mrtweb_erasure::cursor::{Reader, Short};
 use mrtweb_erasure::ida::{Codec as DispersalCodec, GroupPackets};
 use mrtweb_erasure::par::GroupCodec;
 use mrtweb_textproc::index::{DocumentIndex, UnitEntry};
@@ -41,46 +41,29 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-pub(crate) fn get_exact<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
-    if input.len() < n {
-        return Err(CodecError("truncated input"));
+impl From<Short> for CodecError {
+    fn from(_: Short) -> Self {
+        CodecError("truncated input")
     }
-    let (head, tail) = input.split_at(n);
-    *input = tail;
-    Ok(head)
 }
 
-pub(crate) fn get_u8(input: &mut &[u8]) -> Result<u8, CodecError> {
-    Ok(get_exact(input, 1)?[0])
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn get_u32(input: &mut &[u8]) -> Result<u32, CodecError> {
-    let mut b = get_exact(input, 4)?;
-    Ok(b.get_u32_le())
-}
-
-pub(crate) fn get_u64(input: &mut &[u8]) -> Result<u64, CodecError> {
-    let mut b = get_exact(input, 8)?;
-    Ok(b.get_u64_le())
-}
-
-pub(crate) fn get_len(input: &mut &[u8]) -> Result<usize, CodecError> {
-    let n = get_u32(input)? as usize;
+/// A `u32` length field, capped at [`MAX_LEN`].
+pub(crate) fn get_len(r: &mut Reader<'_>) -> Result<usize, CodecError> {
+    let n = r.u32_le()? as usize;
     if n > MAX_LEN {
         return Err(CodecError("length field exceeds sanity bound"));
     }
     Ok(n)
 }
 
-pub(crate) fn get_str(input: &mut &[u8]) -> Result<String, CodecError> {
-    let n = get_len(input)?;
-    let bytes = get_exact(input, n)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| CodecError("invalid UTF-8 in string"))
+pub(crate) fn get_str(r: &mut Reader<'_>) -> Result<String, CodecError> {
+    let n = get_len(r)?;
+    String::from_utf8(r.take(n)?.to_vec()).map_err(|_| CodecError("invalid UTF-8 in string"))
 }
 
 pub(crate) fn lod_to_byte(l: Lod) -> u8 {
@@ -96,15 +79,14 @@ pub(crate) fn lod_from_byte(b: u8) -> Result<Lod, CodecError> {
 
 /// Serializes a document.
 pub fn encode_document(doc: &Document) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(DOC_MAGIC);
-    buf.put_u8(VERSION);
+    let mut buf = DOC_MAGIC.to_vec();
+    buf.push(VERSION);
     encode_unit(doc.root(), &mut buf);
-    buf.to_vec()
+    buf
 }
 
-fn encode_unit(u: &Unit, buf: &mut BytesMut) {
-    buf.put_u8(lod_to_byte(u.kind()));
+fn encode_unit(u: &Unit, buf: &mut Vec<u8>) {
+    buf.push(lod_to_byte(u.kind()));
     let mut flags = 0u8;
     if u.title().is_some() {
         flags |= 1;
@@ -112,16 +94,16 @@ fn encode_unit(u: &Unit, buf: &mut BytesMut) {
     if u.is_synthetic() {
         flags |= 2;
     }
-    buf.put_u8(flags);
+    buf.push(flags);
     if let Some(t) = u.title() {
         put_str(buf, t);
     }
-    buf.put_u32_le(u.runs().len() as u32);
+    buf.extend_from_slice(&(u.runs().len() as u32).to_le_bytes());
     for r in u.runs() {
         put_str(buf, &r.text);
-        buf.put_u8(r.emphasized as u8);
+        buf.push(r.emphasized as u8);
     }
-    buf.put_u32_le(u.children().len() as u32);
+    buf.extend_from_slice(&(u.children().len() as u32).to_le_bytes());
     for c in u.children() {
         encode_unit(c, buf);
     }
@@ -133,16 +115,16 @@ fn encode_unit(u: &Unit, buf: &mut BytesMut) {
 ///
 /// [`CodecError`] for wrong magic/version, truncation, invalid tags or
 /// trailing garbage.
-pub fn decode_document(mut input: &[u8]) -> Result<Document, CodecError> {
-    let magic = get_exact(&mut input, 4)?;
-    if magic != DOC_MAGIC {
+pub fn decode_document(input: &[u8]) -> Result<Document, CodecError> {
+    let mut r = Reader::new(input);
+    if r.take(4)? != DOC_MAGIC {
         return Err(CodecError("bad document magic"));
     }
-    if get_u8(&mut input)? != VERSION {
+    if r.u8()? != VERSION {
         return Err(CodecError("unsupported version"));
     }
-    let root = decode_unit(&mut input, 0)?;
-    if !input.is_empty() {
+    let root = decode_unit(&mut r, 0)?;
+    if !r.is_empty() {
         return Err(CodecError("trailing bytes after document"));
     }
     if root.kind() != Lod::Document {
@@ -151,29 +133,29 @@ pub fn decode_document(mut input: &[u8]) -> Result<Document, CodecError> {
     Ok(Document::from_root(root))
 }
 
-fn decode_unit(input: &mut &[u8], depth: usize) -> Result<Unit, CodecError> {
+fn decode_unit(r: &mut Reader<'_>, depth: usize) -> Result<Unit, CodecError> {
     if depth > 16 {
         return Err(CodecError("unit tree too deep"));
     }
-    let kind = lod_from_byte(get_u8(input)?)?;
-    let flags = get_u8(input)?;
+    let kind = lod_from_byte(r.u8()?)?;
+    let flags = r.u8()?;
     let mut unit = Unit::new(kind).with_synthetic(flags & 2 != 0);
     if flags & 1 != 0 {
-        unit.set_title(Some(get_str(input)?));
+        unit.set_title(Some(get_str(r)?));
     }
-    let runs = get_len(input)?;
+    let runs = get_len(r)?;
     for _ in 0..runs {
-        let text = get_str(input)?;
-        let emphasized = get_u8(input)? != 0;
+        let text = get_str(r)?;
+        let emphasized = r.u8()? != 0;
         unit.push_run(if emphasized {
             Inline::emphasized(text)
         } else {
             Inline::plain(text)
         });
     }
-    let children = get_len(input)?;
+    let children = get_len(r)?;
     for _ in 0..children {
-        let child = decode_unit(input, depth + 1)?;
+        let child = decode_unit(r, depth + 1)?;
         unit.push_child(child);
     }
     Ok(unit)
@@ -181,32 +163,31 @@ fn decode_unit(input: &mut &[u8], depth: usize) -> Result<Unit, CodecError> {
 
 /// Serializes a logical index.
 pub fn encode_index(index: &DocumentIndex) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(INDEX_MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(index.entries().len() as u32);
+    let mut buf = INDEX_MAGIC.to_vec();
+    buf.push(VERSION);
+    buf.extend_from_slice(&(index.entries().len() as u32).to_le_bytes());
     for e in index.entries() {
-        buf.put_u8(e.path.depth() as u8);
+        buf.push(e.path.depth() as u8);
         for &i in e.path.indices() {
-            buf.put_u32_le(i as u32);
+            buf.extend_from_slice(&(i as u32).to_le_bytes());
         }
-        buf.put_u8(lod_to_byte(e.kind));
-        buf.put_u8(e.synthetic as u8);
+        buf.push(lod_to_byte(e.kind));
+        buf.push(e.synthetic as u8);
         match &e.title {
             Some(t) => {
-                buf.put_u8(1);
+                buf.push(1);
                 put_str(&mut buf, t);
             }
-            None => buf.put_u8(0),
+            None => buf.push(0),
         }
-        buf.put_u64_le(e.own_bytes as u64);
-        buf.put_u32_le(e.counts.len() as u32);
+        buf.extend_from_slice(&(e.own_bytes as u64).to_le_bytes());
+        buf.extend_from_slice(&(e.counts.len() as u32).to_le_bytes());
         for (stem, n) in &e.counts {
             put_str(&mut buf, stem);
-            buf.put_u64_le(*n);
+            buf.extend_from_slice(&n.to_le_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Deserializes a logical index.
@@ -214,38 +195,38 @@ pub fn encode_index(index: &DocumentIndex) -> Vec<u8> {
 /// # Errors
 ///
 /// [`CodecError`] on any malformed input.
-pub fn decode_index(mut input: &[u8]) -> Result<DocumentIndex, CodecError> {
-    let magic = get_exact(&mut input, 4)?;
-    if magic != INDEX_MAGIC {
+pub fn decode_index(input: &[u8]) -> Result<DocumentIndex, CodecError> {
+    let mut r = Reader::new(input);
+    if r.take(4)? != INDEX_MAGIC {
         return Err(CodecError("bad index magic"));
     }
-    if get_u8(&mut input)? != VERSION {
+    if r.u8()? != VERSION {
         return Err(CodecError("unsupported version"));
     }
-    let n = get_len(&mut input)?;
+    let n = get_len(&mut r)?;
     let mut entries = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        let depth = get_u8(&mut input)? as usize;
+        let depth = r.u8()? as usize;
         if depth > 16 {
             return Err(CodecError("path too deep"));
         }
         let mut indices = Vec::with_capacity(depth);
         for _ in 0..depth {
-            indices.push(get_u32(&mut input)? as usize);
+            indices.push(r.u32_le()? as usize);
         }
-        let kind = lod_from_byte(get_u8(&mut input)?)?;
-        let synthetic = get_u8(&mut input)? != 0;
-        let title = if get_u8(&mut input)? != 0 {
-            Some(get_str(&mut input)?)
+        let kind = lod_from_byte(r.u8()?)?;
+        let synthetic = r.u8()? != 0;
+        let title = if r.u8()? != 0 {
+            Some(get_str(&mut r)?)
         } else {
             None
         };
-        let own_bytes = get_u64(&mut input)? as usize;
-        let c = get_len(&mut input)?;
+        let own_bytes = r.u64_le()? as usize;
+        let c = get_len(&mut r)?;
         let mut counts = BTreeMap::new();
         for _ in 0..c {
-            let stem = get_str(&mut input)?;
-            let count = get_u64(&mut input)?;
+            let stem = get_str(&mut r)?;
+            let count = r.u64_le()?;
             counts.insert(stem, count);
         }
         entries.push(UnitEntry {
@@ -257,7 +238,7 @@ pub fn decode_index(mut input: &[u8]) -> Result<DocumentIndex, CodecError> {
             own_bytes,
         });
     }
-    if !input.is_empty() {
+    if !r.is_empty() {
         return Err(CodecError("trailing bytes after index"));
     }
     Ok(DocumentIndex::new(entries))
@@ -314,89 +295,53 @@ pub fn write_blob(
         .saturating_add(4)
         .saturating_mul(n)
         .saturating_add(4);
-    let mut buf =
-        BytesMut::with_capacity(29usize.saturating_add(n_groups.saturating_mul(group_bytes)));
-    buf.put_slice(BLOB_MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(m as u32);
-    buf.put_u32_le(n as u32);
-    buf.put_u32_le(packet_size as u32);
-    buf.put_u64_le(doc_len as u64);
-    buf.put_u32_le(n_groups as u32);
+    let mut buf = Vec::with_capacity(29usize.saturating_add(n_groups.saturating_mul(group_bytes)));
+    buf.extend_from_slice(BLOB_MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(m as u32).to_le_bytes());
+    buf.extend_from_slice(&(n as u32).to_le_bytes());
+    buf.extend_from_slice(&(packet_size as u32).to_le_bytes());
+    buf.extend_from_slice(&(doc_len as u64).to_le_bytes());
+    buf.extend_from_slice(&(n_groups as u32).to_le_bytes());
     for &(len, cooked) in groups {
-        buf.put_u32_le(len as u32);
+        buf.extend_from_slice(&(len as u32).to_le_bytes());
         for p in cooked {
-            buf.put_slice(p);
-            buf.put_u32_le(crc32(p));
+            buf.extend_from_slice(p);
+            buf.extend_from_slice(&crc32(p).to_le_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Deserializes a dispersed blob, tolerating per-packet corruption.
 ///
-/// Packets whose CRC-32 fails are dropped; each group then reconstructs
-/// from its surviving packets (fanned across worker threads). Decoding
-/// succeeds as long as every group retains at least `M` intact packets.
+/// The blob parses through [`BlobPackets::parse`]. Packets whose CRC-32
+/// fails are dropped; each group then reconstructs from its surviving
+/// packets (fanned across worker threads). Decoding succeeds as long as
+/// every group retains at least `M` intact packets.
 ///
 /// # Errors
 ///
 /// [`CodecError`] for wrong magic/version, truncation, inconsistent
 /// header fields, trailing garbage, or groups with too few intact
 /// packets.
-pub fn decode_dispersed(mut input: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let magic = get_exact(&mut input, 4)?;
-    if magic != BLOB_MAGIC {
-        return Err(CodecError("bad blob magic"));
-    }
-    if get_u8(&mut input)? != VERSION {
-        return Err(CodecError("unsupported version"));
-    }
-    let m = get_u32(&mut input)? as usize;
-    let n = get_u32(&mut input)? as usize;
-    let packet_size = get_u32(&mut input)? as usize;
-    if packet_size > MAX_LEN {
-        return Err(CodecError("length field exceeds sanity bound"));
-    }
-    let doc_len = get_u64(&mut input)? as usize;
-    if doc_len > MAX_LEN {
-        return Err(CodecError("length field exceeds sanity bound"));
-    }
-    let n_groups = get_len(&mut input)?;
-    let codec = DispersalCodec::new(m, n, packet_size)
+pub fn decode_dispersed(input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let blob = BlobPackets::parse(input)?;
+    let codec = DispersalCodec::new(blob.m, blob.n, blob.packet_size)
         .map_err(|_| CodecError("invalid dispersal parameters"))?;
-    let group_capacity = codec.capacity();
-    let expected_groups = if doc_len == 0 {
-        1
-    } else {
-        doc_len.div_ceil(group_capacity)
-    };
-    if n_groups != expected_groups {
-        return Err(CodecError("group count inconsistent with length"));
-    }
-    let mut groups: Vec<GroupPackets> = Vec::with_capacity(n_groups);
-    for gi in 0..n_groups {
-        let group_len = get_u32(&mut input)? as usize;
-        if group_len > group_capacity {
-            return Err(CodecError("group length exceeds capacity"));
-        }
-        let mut intact: Vec<(usize, Vec<u8>)> = Vec::with_capacity(n);
-        for pi in 0..n {
-            let packet = get_exact(&mut input, packet_size)?;
-            let stored = get_u32(&mut input)?;
-            if crc32(packet) == stored {
-                intact.push((pi, packet.to_vec()));
-            }
-        }
-        groups.push((gi, intact, group_len));
-    }
-    if !input.is_empty() {
-        return Err(CodecError("trailing bytes after blob"));
-    }
+    let groups: Vec<GroupPackets> = (0..blob.n_groups)
+        .map(|g| {
+            let intact = (0..blob.n)
+                .filter(|&i| blob.is_intact(g, i))
+                .map(|i| (i, blob.packet(g, i).to_vec()))
+                .collect();
+            (g, intact, blob.group_len(g))
+        })
+        .collect();
     let out = GroupCodec::new(codec)
         .decode(&groups)
         .map_err(|_| CodecError("too many corrupted packets"))?;
-    if out.len() != doc_len {
+    if out.len() != blob.doc_len {
         return Err(CodecError("group lengths inconsistent with length"));
     }
     Ok(out)
@@ -441,28 +386,27 @@ impl<'a> BlobPackets<'a> {
     /// # Errors
     ///
     /// [`CodecError`] for wrong magic/version, hostile header fields,
-    /// truncation, or trailing garbage — the same discipline as
-    /// [`decode_dispersed`], minus the reconstruction.
+    /// truncation, or trailing garbage. This is the one MRTB parser:
+    /// [`decode_dispersed`] reconstructs from the view it returns.
     pub fn parse(blob: &'a [u8]) -> Result<Self, CodecError> {
-        let mut input = blob;
-        let magic = get_exact(&mut input, 4)?;
-        if magic != BLOB_MAGIC {
+        let mut r = Reader::new(blob);
+        if r.take(4)? != BLOB_MAGIC {
             return Err(CodecError("bad blob magic"));
         }
-        if get_u8(&mut input)? != VERSION {
+        if r.u8()? != VERSION {
             return Err(CodecError("unsupported version"));
         }
-        let m = get_u32(&mut input)? as usize;
-        let n = get_u32(&mut input)? as usize;
-        let packet_size = get_u32(&mut input)? as usize;
+        let m = r.u32_le()? as usize;
+        let n = r.u32_le()? as usize;
+        let packet_size = r.u32_le()? as usize;
         if m == 0 || n < m || n > 256 || packet_size == 0 || packet_size > MAX_LEN {
             return Err(CodecError("invalid dispersal parameters"));
         }
-        let doc_len = get_u64(&mut input)? as usize;
+        let doc_len = r.u64_le()? as usize;
         if doc_len > MAX_LEN {
             return Err(CodecError("length field exceeds sanity bound"));
         }
-        let n_groups = get_len(&mut input)?;
+        let n_groups = get_len(&mut r)?;
         let group_capacity = m
             .checked_mul(packet_size)
             .ok_or(CodecError("invalid dispersal parameters"))?;
@@ -474,13 +418,15 @@ impl<'a> BlobPackets<'a> {
         if n_groups != expected_groups {
             return Err(CodecError("group count inconsistent with length"));
         }
-        let group_bytes = packet_size
+        let body_len = packet_size
             .checked_add(4)
             .and_then(|per_record| per_record.checked_mul(n))
             .and_then(|records| records.checked_add(4))
-            .ok_or(CodecError("truncated input"))?;
-        if Some(input.len()) != n_groups.checked_mul(group_bytes) {
-            return Err(CodecError("truncated input"));
+            .and_then(|group_bytes| group_bytes.checked_mul(n_groups))
+            .ok_or(Short)?;
+        let body = r.take(body_len)?;
+        if !r.is_empty() {
+            return Err(CodecError("trailing bytes after blob"));
         }
         let view = BlobPackets {
             m,
@@ -488,7 +434,7 @@ impl<'a> BlobPackets<'a> {
             packet_size,
             doc_len,
             n_groups,
-            body: input,
+            body,
         };
         for g in 0..n_groups {
             if view.group_len(g) > group_capacity {
@@ -551,10 +497,10 @@ impl<'a> BlobPackets<'a> {
     pub fn group_len(&self, group: usize) -> usize {
         assert!(group < self.n_groups, "group {group} out of range");
         let at = group.saturating_mul(self.group_stride());
-        let Some(b) = self.body.get(at..at.saturating_add(4)) else {
+        let Some(len) = self.body.get(at..).and_then(<[u8]>::first_chunk) else {
             unreachable!("record layout validated by parse()")
         };
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize
+        u32::from_le_bytes(*len) as usize
     }
 
     /// The stored packet bytes at (`group`, `index`).
@@ -595,14 +541,10 @@ impl<'a> BlobPackets<'a> {
     /// Panics if either coordinate is out of range.
     #[must_use]
     pub fn is_intact(&self, group: usize, index: usize) -> bool {
-        let at = self
-            .record_at(group, index)
-            .saturating_add(self.packet_size);
-        let Some(b) = self.body.get(at..at.saturating_add(4)) else {
+        let Some((packet, stored)) = self.record(group, index).split_last_chunk() else {
             unreachable!("record layout validated by parse()")
         };
-        let stored = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        crc32(self.packet(group, index)) == stored
+        crc32(packet) == u32::from_le_bytes(*stored)
     }
 
     /// CRC-32 over every stored packet in order, the records' own CRCs
@@ -754,15 +696,14 @@ mod tests {
 
     #[test]
     fn invalid_utf8_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(DOC_MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(0); // document
-        buf.put_u8(1); // has title
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xFF, 0xFE]);
-        buf.put_u32_le(0); // runs
-        buf.put_u32_le(0); // children
+        let mut buf = DOC_MAGIC.to_vec();
+        buf.push(VERSION);
+        buf.push(0); // document
+        buf.push(1); // has title
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&[0xFF, 0xFE]);
+        buf.extend_from_slice(&0u32.to_le_bytes()); // runs
+        buf.extend_from_slice(&0u32.to_le_bytes()); // children
         assert_eq!(
             decode_document(&buf),
             Err(CodecError("invalid UTF-8 in string"))
@@ -843,13 +784,12 @@ mod tests {
 
     #[test]
     fn non_document_root_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(DOC_MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(4); // paragraph at the root
-        buf.put_u8(0);
-        buf.put_u32_le(0);
-        buf.put_u32_le(0);
+        let mut buf = DOC_MAGIC.to_vec();
+        buf.push(VERSION);
+        buf.push(4); // paragraph at the root
+        buf.push(0);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
         assert_eq!(
             decode_document(&buf),
             Err(CodecError("root unit is not at document LOD"))

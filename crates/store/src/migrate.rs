@@ -25,18 +25,16 @@
 //! untrusted-parser surface: every read is bounds-checked and every
 //! length field sanity-capped.
 
-use bytes::{BufMut, BytesMut};
-
 use mrtweb_content::sc::Measure;
 use mrtweb_erasure::crc::crc32;
+use mrtweb_erasure::cursor::Reader;
 use mrtweb_transport::live::DocumentHeader;
 use mrtweb_transport::plan::{TransmissionPlan, UnitSlice};
 
 use crate::codec::{
-    get_exact, get_len, get_str, get_u32, get_u64, get_u8, lod_from_byte, lod_to_byte, put_str,
-    CodecError, MAX_LEN,
+    get_len, get_str, lod_from_byte, lod_to_byte, put_str, BlobPackets, CodecError, MAX_LEN,
+    VERSION,
 };
-use crate::codec::{BlobPackets, VERSION};
 use crate::edge::EdgeKey;
 
 /// Format magic for migration records.
@@ -74,30 +72,29 @@ fn measure_from_byte(b: u8) -> Result<Measure, CodecError> {
 /// Serializes a migration record.
 #[must_use]
 pub fn encode_record(record: &MigrationRecord) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MIGRATE_MAGIC);
-    buf.put_u8(VERSION);
+    let mut buf = MIGRATE_MAGIC.to_vec();
+    buf.push(VERSION);
     put_str(&mut buf, &record.key.url);
     put_str(&mut buf, &record.key.query);
-    buf.put_u8(lod_to_byte(record.key.lod));
-    buf.put_u8(measure_to_byte(record.key.measure));
-    buf.put_u32_le(record.key.packet_size as u32);
-    buf.put_u64_le(record.key.gamma_bits);
-    buf.put_u64_le(record.header.doc_len as u64);
-    buf.put_u32_le(record.header.m as u32);
-    buf.put_u32_le(record.header.n as u32);
+    buf.push(lod_to_byte(record.key.lod));
+    buf.push(measure_to_byte(record.key.measure));
+    buf.extend_from_slice(&(record.key.packet_size as u32).to_le_bytes());
+    buf.extend_from_slice(&record.key.gamma_bits.to_le_bytes());
+    buf.extend_from_slice(&(record.header.doc_len as u64).to_le_bytes());
+    buf.extend_from_slice(&(record.header.m as u32).to_le_bytes());
+    buf.extend_from_slice(&(record.header.n as u32).to_le_bytes());
     let slices = record.header.plan.slices();
-    buf.put_u32_le(slices.len() as u32);
+    buf.extend_from_slice(&(slices.len() as u32).to_le_bytes());
     for s in slices {
         put_str(&mut buf, &s.label);
-        buf.put_u32_le(s.bytes as u32);
-        buf.put_u64_le(s.content.to_bits());
+        buf.extend_from_slice(&(s.bytes as u32).to_le_bytes());
+        buf.extend_from_slice(&s.content.to_bits().to_le_bytes());
     }
-    buf.put_u32_le(record.blob.len() as u32);
-    buf.put_slice(&record.blob);
+    buf.extend_from_slice(&(record.blob.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&record.blob);
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.to_vec()
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
 }
 
 /// Deserializes and fully validates a migration record.
@@ -113,52 +110,47 @@ pub fn encode_record(record: &MigrationRecord) -> Vec<u8> {
 ///
 /// [`CodecError`] naming the first violated layer.
 pub fn decode_record(input: &[u8]) -> Result<MigrationRecord, CodecError> {
-    if input.len() < 4 {
+    let Some((body, stored)) = input.split_last_chunk() else {
         return Err(CodecError("truncated input"));
-    }
-    let (body, crc_bytes) = input.split_at(input.len() - 4);
-    let mut stored = [0u8; 4];
-    stored.copy_from_slice(crc_bytes);
-    if crc32(body) != u32::from_le_bytes(stored) {
+    };
+    if crc32(body) != u32::from_le_bytes(*stored) {
         return Err(CodecError("migration record CRC mismatch"));
     }
-    let mut body = body;
-    let input = &mut body;
-    let magic = get_exact(input, 4)?;
-    if magic != MIGRATE_MAGIC {
+    let mut r = Reader::new(body);
+    if r.take(4)? != MIGRATE_MAGIC {
         return Err(CodecError("bad migration magic"));
     }
-    if get_u8(input)? != VERSION {
+    if r.u8()? != VERSION {
         return Err(CodecError("unsupported version"));
     }
-    let url = get_str(input)?;
-    let query = get_str(input)?;
-    let lod = lod_from_byte(get_u8(input)?)?;
-    let measure = measure_from_byte(get_u8(input)?)?;
-    let packet_size = get_u32(input)? as usize;
+    let url = get_str(&mut r)?;
+    let query = get_str(&mut r)?;
+    let lod = lod_from_byte(r.u8()?)?;
+    let measure = measure_from_byte(r.u8()?)?;
+    let packet_size = r.u32_le()? as usize;
     if packet_size == 0 || packet_size > MAX_LEN {
         return Err(CodecError("length field exceeds sanity bound"));
     }
-    let gamma_bits = get_u64(input)?;
-    let doc_len = get_u64(input)? as usize;
+    let gamma_bits = r.u64_le()?;
+    let doc_len = r.u64_le()? as usize;
     if doc_len > MAX_LEN {
         return Err(CodecError("length field exceeds sanity bound"));
     }
-    let m = get_u32(input)? as usize;
-    let n = get_u32(input)? as usize;
+    let m = r.u32_le()? as usize;
+    let n = r.u32_le()? as usize;
     if m == 0 || n < m || n > 256 {
         return Err(CodecError("invalid dispersal parameters"));
     }
-    let n_slices = get_len(input)?;
+    let n_slices = get_len(&mut r)?;
     let mut slices = Vec::new();
     let mut slice_bytes = 0usize;
     for _ in 0..n_slices {
-        let label = get_str(input)?;
-        let bytes = get_u32(input)? as usize;
+        let label = get_str(&mut r)?;
+        let bytes = r.u32_le()? as usize;
         if bytes > MAX_LEN {
             return Err(CodecError("length field exceeds sanity bound"));
         }
-        let content = f64::from_bits(get_u64(input)?);
+        let content = f64::from_bits(r.u64_le()?);
         if !content.is_finite() || content < 0.0 {
             return Err(CodecError("invalid slice content"));
         }
@@ -168,9 +160,9 @@ pub fn decode_record(input: &[u8]) -> Result<MigrationRecord, CodecError> {
     if slice_bytes != doc_len {
         return Err(CodecError("plan inconsistent with length"));
     }
-    let blob_len = get_len(input)?;
-    let blob = get_exact(input, blob_len)?.to_vec();
-    if !input.is_empty() {
+    let blob_len = get_len(&mut r)?;
+    let blob = r.take(blob_len)?.to_vec();
+    if !r.is_empty() {
         return Err(CodecError("trailing bytes after record"));
     }
     // The plan rode over in its already-ranked order; `sequential`

@@ -11,10 +11,9 @@ use std::collections::BTreeMap;
 
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_docmodel::unit::UnitPath;
-use serde::{Deserialize, Serialize};
 
 /// Index entry for one organizational unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitEntry {
     /// Path from the document root.
     pub path: UnitPath,
@@ -45,7 +44,7 @@ impl UnitEntry {
 /// The logical index of a whole document.
 ///
 /// Entries appear in preorder; entry 0 is the document root.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocumentIndex {
     entries: Vec<UnitEntry>,
     totals: BTreeMap<String, u64>,

@@ -11,7 +11,6 @@
 use mrtweb_channel::ewma::EwmaEstimator;
 use mrtweb_erasure::redundancy::{min_cooked_packets, Plan};
 use mrtweb_erasure::Error;
-use serde::{Deserialize, Serialize};
 
 /// An EWMA-driven redundancy controller.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveRedundancy {
     estimator: EwmaEstimator,
     target_success: f64,

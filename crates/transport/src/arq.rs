@@ -14,12 +14,11 @@
 
 use mrtweb_channel::link::Link;
 use mrtweb_channel::loss::LossModel;
-use serde::{Deserialize, Serialize};
 
 use crate::plan::TransmissionPlan;
 
 /// Configuration for an ARQ download.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArqConfig {
     /// Raw bytes per packet.
     pub packet_size: usize,
@@ -44,7 +43,7 @@ impl Default for ArqConfig {
 }
 
 /// Result of an ARQ download.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArqReport {
     /// Whether every raw packet eventually arrived intact.
     pub completed: bool,

@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 
 use mrtweb_erasure::crc::{crc16, crc32};
+use mrtweb_erasure::cursor::{Reader, Short};
 use mrtweb_erasure::ida::{Codec, GroupPackets};
 use mrtweb_erasure::par::GroupCodec;
 use mrtweb_obs::{emit, EventKind};
@@ -243,34 +244,10 @@ pub enum AirFrame<'a> {
     },
 }
 
-fn get_exact<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], BroadcastError> {
-    if input.len() < n {
-        return Err(BroadcastError("truncated air frame"));
+impl From<Short> for BroadcastError {
+    fn from(_: Short) -> Self {
+        BroadcastError("truncated air frame")
     }
-    let (head, rest) = input.split_at(n);
-    *input = rest;
-    Ok(head)
-}
-
-fn get_u8(input: &mut &[u8]) -> Result<u8, BroadcastError> {
-    Ok(get_exact(input, 1)?[0])
-}
-
-fn get_u16(input: &mut &[u8]) -> Result<u16, BroadcastError> {
-    let b = get_exact(input, 2)?;
-    Ok(u16::from_be_bytes([b[0], b[1]]))
-}
-
-fn get_u32(input: &mut &[u8]) -> Result<u32, BroadcastError> {
-    let b = get_exact(input, 4)?;
-    Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(input: &mut &[u8]) -> Result<u64, BroadcastError> {
-    let b = get_exact(input, 8)?;
-    Ok(u64::from_be_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-    ]))
 }
 
 /// Renders a data frame around a stored record (no re-encode: the
@@ -323,45 +300,43 @@ pub fn render_index_frame(index: &AirIndex) -> Vec<u8> {
 /// or carries an unknown type byte — a listener counts these and moves
 /// on, exactly like a corrupted unicast frame.
 pub fn parse_frame(bytes: &[u8]) -> Result<AirFrame<'_>, BroadcastError> {
-    if bytes.len() < 3 {
+    let Some((body @ [_, ..], stored)) = bytes.split_last_chunk() else {
         return Err(BroadcastError("air frame too short"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 2);
-    let stored = u16::from_be_bytes([tail[0], tail[1]]);
-    if crc16(body) != stored {
+    };
+    if crc16(body) != u16::from_be_bytes(*stored) {
         return Err(BroadcastError("air frame failed crc16"));
     }
-    let mut cur = body;
-    match get_u8(&mut cur)? {
+    let mut cur = Reader::new(body);
+    match cur.u8()? {
         FRAME_DATA => {
-            let doc = get_u16(&mut cur)?;
-            let group = get_u16(&mut cur)?;
-            let index = get_u16(&mut cur)?;
-            if cur.len() < 5 {
+            let doc = cur.u16()?;
+            let group = cur.u16()?;
+            let index = cur.u16()?;
+            if cur.remaining() < 5 {
                 return Err(BroadcastError("air record too short"));
             }
             Ok(AirFrame::Data {
                 doc,
                 group,
                 index,
-                record: cur,
+                record: cur.rest(),
             })
         }
         FRAME_INDEX => {
-            let pos = get_u32(&mut cur)?;
-            let cycle_len = get_u32(&mut cur)?;
-            let ndocs = get_u16(&mut cur)?;
+            let pos = cur.u32()?;
+            let cycle_len = cur.u32()?;
+            let ndocs = cur.u16()?;
             let mut docs = Vec::with_capacity(usize::from(ndocs));
             for _ in 0..ndocs {
-                let id = get_u16(&mut cur)?;
-                let m = get_u16(&mut cur)?;
-                let n = get_u16(&mut cur)?;
-                let packet_size = get_u32(&mut cur)?;
-                let doc_len = get_u64(&mut cur)?;
-                let n_groups = usize::from(get_u16(&mut cur)?);
+                let id = cur.u16()?;
+                let m = cur.u16()?;
+                let n = cur.u16()?;
+                let packet_size = cur.u32()?;
+                let doc_len = cur.u64()?;
+                let n_groups = usize::from(cur.u16()?);
                 let mut group_lens = Vec::with_capacity(n_groups);
                 for _ in 0..n_groups {
-                    group_lens.push(get_u32(&mut cur)?);
+                    group_lens.push(cur.u32()?);
                 }
                 let contents_len = n_groups
                     .checked_mul(usize::from(m))
@@ -369,9 +344,9 @@ pub fn parse_frame(bytes: &[u8]) -> Result<AirFrame<'_>, BroadcastError> {
                 // Capacity is clamped to what the frame can still hold,
                 // so a corrupt count cannot force a giant allocation
                 // before the truncated-input error below fires.
-                let mut contents_ppm = Vec::with_capacity(contents_len.min(cur.len() / 4));
+                let mut contents_ppm = Vec::with_capacity(contents_len.min(cur.remaining() / 4));
                 for _ in 0..contents_len {
-                    contents_ppm.push(get_u32(&mut cur)?);
+                    contents_ppm.push(cur.u32()?);
                 }
                 docs.push(DocMeta {
                     id,
@@ -951,16 +926,20 @@ impl BroadcastListener {
 /// record was corrupt.
 fn feed_record(c: &mut Collect, group: u16, index: u16, record: &[u8]) -> bool {
     let (g, i) = (usize::from(group), usize::from(index));
-    let ps = c.meta.packet_size as usize;
-    if g >= c.groups.len() || i >= usize::from(c.meta.n) || record.len() != ps + 4 {
+    let (Some(state), Some(held), Some((packet, stored))) = (
+        c.groups.get_mut(g),
+        c.held.get_mut(g),
+        record.split_last_chunk(),
+    ) else {
+        return true;
+    };
+    if i >= usize::from(c.meta.n) || packet.len() != c.meta.packet_size as usize {
         return true;
     }
-    let (packet, tail) = record.split_at(ps);
-    let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    let corrupt = crc32(packet) != stored;
-    c.groups[g].on_packet(i, corrupt);
+    let corrupt = crc32(packet) != u32::from_le_bytes(*stored);
+    state.on_packet(i, corrupt);
     if !corrupt {
-        c.held[g].entry(i).or_insert_with(|| packet.to_vec());
+        held.entry(i).or_insert_with(|| packet.to_vec());
     }
     corrupt
 }

@@ -15,8 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::plan::{TransmissionPlan, UnitSlice};
 
 /// Human-assigned priorities blended with content scores.
@@ -38,7 +36,7 @@ use crate::plan::{TransmissionPlan, UnitSlice};
 /// let plan = ord.plan(&slices);
 /// assert_eq!(plan.slices()[0].label, "intro");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntuitionOrdering {
     levels: BTreeMap<String, f64>,
     lambda: f64,

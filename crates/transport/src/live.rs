@@ -245,7 +245,7 @@ impl LiveServer {
         let wire_frames = cooked
             .into_iter()
             .enumerate()
-            .map(|(i, payload)| payload.map(|p| Frame::new(i as u16, p).to_wire().to_vec()))
+            .map(|(i, payload)| payload.map(|p| Frame::new(i as u16, p).to_wire()))
             .collect();
         Ok(LiveServer {
             header,

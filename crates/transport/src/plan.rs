@@ -11,11 +11,10 @@
 use mrtweb_content::sc::{Measure, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
-use serde::{Deserialize, Serialize};
 
 /// One contiguous slice of the transmission: an organizational unit (or
 /// an interior unit's own text) scheduled as a whole.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitSlice {
     /// Human-readable label (unit path, e.g. `3.2.1`).
     pub label: String,
@@ -53,7 +52,7 @@ impl UnitSlice {
 /// let pc = plan.packet_contents(100);
 /// assert!((pc[0] - 0.8).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransmissionPlan {
     slices: Vec<UnitSlice>,
 }

@@ -6,10 +6,8 @@
 //! It is the protocol brain shared by the fast simulation path and the
 //! live byte-level prototype.
 
-use serde::{Deserialize, Serialize};
-
 /// Snapshot of a download in progress.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReceiverState {
     /// Raw packets `M` needed for reconstruction.
     m: usize,

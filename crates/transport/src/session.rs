@@ -12,13 +12,12 @@
 use mrtweb_channel::link::Link;
 use mrtweb_channel::loss::LossModel;
 use mrtweb_erasure::redundancy::cooked_packets;
-use serde::{Deserialize, Serialize};
 
 use crate::plan::TransmissionPlan;
 use crate::receiver::ReceiverState;
 
 /// Whether the client caches intact cooked packets across stalls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheMode {
     /// Stall → reload from scratch (the paper's *NoCaching*).
     NoCaching,
@@ -28,7 +27,7 @@ pub enum CacheMode {
 }
 
 /// How the download ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// `M` distinct intact packets arrived; the document reconstructs.
     Completed,
@@ -42,7 +41,7 @@ pub enum Outcome {
 /// The user-relevance model of the paper's simulation: a document is
 /// either relevant (downloaded to its entirety) or irrelevant
 /// (discarded once accrued content reaches the threshold `F`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Relevance {
     /// Whether the user will discard this document.
     pub irrelevant: bool,
@@ -69,7 +68,7 @@ impl Relevance {
 }
 
 /// Protocol parameters (defaults are the paper's Table 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Raw bytes per packet (`s_p`, default 256).
     pub packet_size: usize,
@@ -115,7 +114,7 @@ impl SessionConfig {
 }
 
 /// What a finished download looked like.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DownloadReport {
     /// How the download ended.
     pub outcome: Outcome,
