@@ -43,7 +43,11 @@
 #
 # tier1, tests and mrtbench build with --locked: a manifest edit that
 # would rewrite Cargo.lock or examples/mrtbench/Cargo.lock fails there
-# instead of being rewritten silently.
+# instead of being rewritten silently. faults, proxy-smoke, broadcast
+# and edge drive target/release/mrtweb, so each of them runs
+# `cargo build --release --locked` first (a no-op on a fresh build):
+# run alone after a source edit, a stage tests the tree, not the
+# previous build.
 #
 # The proxy readiness wait is bounded but configurable: set
 # MRTWEB_PROXY_WAIT_SECS (default 5) on slow runners. The proxy child
@@ -159,7 +163,7 @@ stage_proxy_fallback() {
 stage_faults() {
   local seeds="1 2 3"
   [ "$quick" -eq 1 ] && seeds="1"
-  [ -x target/release/mrtweb ] || cargo build --release
+  cargo build --release --locked
   # Scenario count comes from the binary itself (--list prints a header
   # line, then one indented line per scenario) so the matrix can grow
   # without this script going stale.
@@ -174,7 +178,7 @@ stage_faults() {
 
 stage_proxy_smoke() {
   echo "==> proxy smoke: event-engine serve + loadgen over loopback -> BENCH_proxy.json"
-  [ -x target/release/mrtweb ] || cargo build --release
+  cargo build --release --locked
   proxy_log="$(mktemp)"
   target/release/mrtweb serve --addr 127.0.0.1:0 --engine auto \
     --max-sessions 4096 --runtime-secs 120 > "$proxy_log" 2>&1 &
@@ -218,7 +222,7 @@ stage_proxy_smoke() {
 
 stage_broadcast() {
   echo "==> broadcast smoke: carousel fan-out + K-sweep -> BENCH_broadcast.json"
-  [ -x target/release/mrtweb ] || cargo build --release
+  cargo build --release --locked
   # Acceptance: every listener completes and the trace shows exactly one
   # encode per document regardless of listener count (the verb exits
   # nonzero otherwise).
@@ -237,7 +241,7 @@ stage_broadcast() {
 
 stage_edge() {
   echo "==> edge smoke: zero-re-encode hits, two-cell roaming, eviction under budget"
-  [ -x target/release/mrtweb ] || cargo build --release
+  cargo build --release --locked
   # Acceptance: repeat requests hit the cache and the trace shows one
   # encode per distinct document; the verb exits nonzero otherwise.
   local run_out

@@ -95,142 +95,229 @@ pub struct StructuralCharacteristic {
     entries: Vec<ScEntry>,
 }
 
-/// The per-keyword factors of the three measures, computed once per
-/// distinct stem of the document.
-#[derive(Debug, Clone, Copy)]
-struct StemWeights {
-    /// `ω_a`.
-    doc: f64,
-    /// `ω^Q_a`.
-    query: f64,
-    /// `ω_a + λ·ω^Q_a`.
-    combined: f64,
+/// Sums `(QIC, MQIC)` term pairs, each column folded left to right
+/// from the value `Iterator::sum` starts at, so each is bit-identical
+/// to summing that column alone with `.sum()` (as every other sum here
+/// does), down to the sign of an empty sum, which `rank` and the
+/// planner see through `total_cmp`.
+fn sum_pairs(terms: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    terms.fold((zero, zero), |(q, m), (tq, tm)| (q + tq, m + tm))
 }
 
-impl StemWeights {
-    fn new(stem: &str, doc_count: u64, max: u64, query: &Query, lambda: f64) -> Self {
-        let doc = keyword_weight(doc_count, max);
-        let query = query.weight(stem);
-        StemWeights {
-            doc,
-            query,
-            combined: doc + lambda * query,
+/// `num / denom`, or 0 when the document has no mass under the measure.
+fn share(num: f64, denom: f64) -> f64 {
+    if denom > 0.0 {
+        num / denom
+    } else {
+        0.0
+    }
+}
+
+/// A keyword's occurrences in one unit (or, among the totals, in the
+/// whole document), with the factors every query reuses.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    /// Index into [`ScTables::stems`].
+    stem: usize,
+    /// Occurrences `n`.
+    n: f64,
+    /// The IC term `n·ω_a`.
+    nw: f64,
+}
+
+/// The half of a document's structural characteristic that no query
+/// changes: "the weights of keywords of a document remain unchanged
+/// across queries, only the contribution by querying words need be
+/// incorporated" (§3.3).
+///
+/// Built once per document version from its logical index, it holds
+/// the keyword weights, every unit's postings in one flat array, each
+/// unit's preorder subtree, and the whole IC and bytes columns.
+/// [`ScTables::apply`] adds a query: it resolves the query's stems,
+/// sums the flat arrays and the subtrees, and copies the rest.
+#[derive(Debug, Clone)]
+pub struct ScTables {
+    /// The document's distinct stems, sorted (a stem's id is its index).
+    stems: Vec<String>,
+    /// `ω_a` per stem.
+    omega: Vec<f64>,
+    /// One posting per stem for the whole document (`|a_D|`): the
+    /// terms the denominators sum.
+    totals: Vec<Posting>,
+    /// Every unit's postings, units in preorder, each unit's in stem order.
+    postings: Vec<Posting>,
+    /// Unit `i`'s postings are `postings[posting_start[i]..posting_start[i + 1]]`.
+    posting_start: Vec<usize>,
+    /// One past the last unit of unit `i`'s preorder subtree.
+    subtree_end: Vec<usize>,
+    /// `Σ_a |a_D|`, the numerator of λ.
+    total_occurrences: u64,
+    /// The rows, with `qic` and `mqic` at 0.
+    rows: Vec<ScEntry>,
+}
+
+impl ScTables {
+    /// Builds the query-independent tables of a logical index.
+    pub fn new(index: &DocumentIndex) -> Self {
+        let max = index.max_count().max(1);
+        let stems: Vec<String> = index.totals().keys().cloned().collect();
+        let omega: Vec<f64> = index
+            .totals()
+            .values()
+            .map(|&n| keyword_weight(n, max))
+            .collect();
+        let posting = |stem: usize, n: u64| {
+            let n = n as f64;
+            Posting {
+                stem,
+                n,
+                nw: n * omega[stem],
+            }
+        };
+        let totals: Vec<Posting> = index
+            .totals()
+            .values()
+            .enumerate()
+            .map(|(stem, &n)| posting(stem, n))
+            .collect();
+        let units = index.entries();
+        let mut postings = Vec::new();
+        let mut posting_start = vec![0];
+        for e in units {
+            // Every stem is found: the totals are summed from the units.
+            postings.extend(
+                e.counts
+                    .iter()
+                    .filter_map(|(stem, &n)| Some(posting(stems.binary_search(stem).ok()?, n))),
+            );
+            posting_start.push(postings.len());
+        }
+        let subtree_end: Vec<usize> = units
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                // Preorder: the descendants directly follow the unit.
+                i + 1
+                    + units[i + 1..]
+                        .iter()
+                        .take_while(|d| e.path.is_prefix_of(&d.path))
+                        .count()
+            })
+            .collect();
+        let denom: f64 = totals.iter().map(|p| p.nw).sum();
+        let own_ic: Vec<f64> = posting_start
+            .windows(2)
+            .map(|w| share(postings[w[0]..w[1]].iter().map(|p| p.nw).sum(), denom))
+            .collect();
+        let rows = units
+            .iter()
+            .zip(&subtree_end)
+            .enumerate()
+            .map(|(i, (e, &end))| ScEntry {
+                path: e.path.clone(),
+                kind: e.kind,
+                synthetic: e.synthetic,
+                title: e.title.clone(),
+                ic: own_ic[i..end].iter().sum(),
+                qic: 0.0,
+                mqic: 0.0,
+                bytes: units[i..end].iter().map(|d| d.own_bytes).sum(),
+            })
+            .collect();
+        ScTables {
+            stems,
+            omega,
+            totals,
+            postings,
+            posting_start,
+            subtree_end,
+            total_occurrences: index.total_occurrences(),
+            rows,
         }
     }
 
-    /// The IC, QIC and MQIC terms of `n` occurrences, evaluated exactly
-    /// as [`crate::ic`], [`crate::qic`] and [`crate::mqic`] write them.
-    fn terms(self, n: u64) -> [f64; 3] {
-        let n = n as f64;
-        let nw = n * self.doc;
-        [nw, nw * self.query, n * self.combined]
+    /// The structural characteristic under `query` (none: QIC 0 and
+    /// MQIC equal to IC).
+    ///
+    /// Resolves the query's stems to ids, then sums the QIC and MQIC
+    /// denominators over the totals and each unit's numerators over its
+    /// postings, in the order the definitions sum them. A stem outside
+    /// the query has `ω^Q_a = 0`, so its QIC term is `+0.0` and its
+    /// MQIC term `n·(ω_a + λ·0)` is exactly the stored `n·ω_a`.
+    pub fn apply(&self, query: Option<&Query>) -> StructuralCharacteristic {
+        // No query is the empty query: every ω^Q_a is 0, so QIC is 0
+        // everywhere and MQIC (λ = 0) reduces to IC term for term.
+        let no_query = Query::new();
+        let query = query.unwrap_or(&no_query);
+        let lambda = if query.total_occurrences() > 0 {
+            self.total_occurrences as f64 / query.total_occurrences() as f64
+        } else {
+            0.0
+        };
+        // `ω^Q_a` per stem id: 0 off the query, ≥ 1 on it.
+        let mut omega_q = vec![0.0; self.stems.len()];
+        for stem in query.stems() {
+            if let Ok(id) = self.stems.binary_search_by(|s| s.as_str().cmp(stem)) {
+                omega_q[id] = query.weight(stem);
+            }
+        }
+        // A posting's QIC and MQIC terms, exactly as `crate::qic` and
+        // `crate::mqic` write them.
+        let terms = |p: &Posting| {
+            let q = omega_q[p.stem];
+            let mqic = if q == 0.0 {
+                p.nw
+            } else {
+                p.n * (self.omega[p.stem] + lambda * q)
+            };
+            (p.nw * q, mqic)
+        };
+        let (qic_denom, mqic_denom) = sum_pairs(self.totals.iter().map(terms));
+        let own: Vec<(f64, f64)> = self
+            .posting_start
+            .windows(2)
+            .map(|w| {
+                let (qic, mqic) = sum_pairs(self.postings[w[0]..w[1]].iter().map(terms));
+                (share(qic, qic_denom), share(mqic, mqic_denom))
+            })
+            .collect();
+        let entries = self
+            .rows
+            .iter()
+            .zip(&self.subtree_end)
+            .enumerate()
+            .map(|(i, (row, &end))| {
+                let (qic, mqic) = sum_pairs(own[i..end].iter().copied());
+                ScEntry {
+                    qic,
+                    mqic,
+                    ..row.clone()
+                }
+            })
+            .collect();
+        StructuralCharacteristic { entries }
     }
-}
-
-/// Column-wise sums of term triples, each column folded left to right
-/// from the value `Iterator::sum` starts at. Every column is therefore
-/// bit-identical to summing it alone with `.sum()`, down to the sign of
-/// an empty sum — which `rank` and the planner see through `total_cmp`.
-fn column_sums(terms: impl Iterator<Item = [f64; 3]>) -> [f64; 3] {
-    let zero: f64 = std::iter::empty::<f64>().sum();
-    terms.fold([zero; 3], |acc, t| {
-        [acc[0] + t[0], acc[1] + t[1], acc[2] + t[2]]
-    })
 }
 
 impl StructuralCharacteristic {
     /// Builds the SC from a logical index, with an optional query for
-    /// the QIC/MQIC columns.
+    /// the QIC/MQIC columns: [`ScTables::new`], then
+    /// [`ScTables::apply`]. A caller that scores one document under
+    /// many queries keeps the tables and applies each query to them.
     ///
-    /// One pass: the keyword weights are computed once per distinct
-    /// stem, each unit's own IC, QIC and MQIC come from one walk over
-    /// its postings, and each subtree column sums the contiguous
-    /// preorder run of the unit and its descendants. Every value is
-    /// bit-identical to composing [`InformationContent`],
-    /// [`QueryContent`] and [`ModifiedQueryContent`] with
-    /// [`ContentScores::subtree_at`] — the paper's definitions, which
-    /// the property tests keep as the oracle.
+    /// Every value is bit-identical to composing
+    /// [`InformationContent`], [`QueryContent`] and
+    /// [`ModifiedQueryContent`] with [`ContentScores::subtree_at`] — the
+    /// paper's definitions, which the property tests keep as the
+    /// oracle.
     ///
     /// [`InformationContent`]: crate::ic::InformationContent
     /// [`QueryContent`]: crate::qic::QueryContent
     /// [`ModifiedQueryContent`]: crate::mqic::ModifiedQueryContent
     /// [`ContentScores::subtree_at`]: crate::scores::ContentScores::subtree_at
     pub fn from_index(index: &DocumentIndex, query: Option<&Query>) -> Self {
-        // No query is the empty query: every ω^Q_a is 0, so QIC is 0
-        // everywhere and MQIC (λ = 0) reduces to IC term for term.
-        let no_query = Query::new();
-        let query = query.unwrap_or(&no_query);
-        let max = index.max_count().max(1);
-        let lambda = if query.total_occurrences() > 0 {
-            index.total_occurrences() as f64 / query.total_occurrences() as f64
-        } else {
-            0.0
-        };
-        let stems: Vec<&str> = index.totals().keys().map(String::as_str).collect();
-        let weights: Vec<StemWeights> = index
-            .totals()
-            .iter()
-            .map(|(stem, &n)| StemWeights::new(stem, n, max, query, lambda))
-            .collect();
-        let denom = column_sums(
-            weights
-                .iter()
-                .zip(index.totals().values())
-                .map(|(w, &n)| w.terms(n)),
-        );
-
-        let units = index.entries();
-        let own: Vec<[f64; 3]> = units
-            .iter()
-            .map(|e| {
-                // A unit's stems are sorted like the totals: merge-walk.
-                let mut at = 0;
-                let num = column_sums(e.counts.iter().map(|(stem, &n)| {
-                    while stems.get(at).is_some_and(|s| *s < stem.as_str()) {
-                        at += 1;
-                    }
-                    let w = match stems.get(at) {
-                        Some(s) if *s == stem => weights[at],
-                        // Not reached: the totals are summed from the units.
-                        _ => StemWeights::new(stem, 0, max, query, lambda),
-                    };
-                    w.terms(n)
-                }));
-                std::array::from_fn(|c| {
-                    if denom[c] > 0.0 {
-                        num[c] / denom[c]
-                    } else {
-                        0.0
-                    }
-                })
-            })
-            .collect();
-
-        let entries = units
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                // Preorder: the descendants directly follow the unit.
-                let end = i
-                    + 1
-                    + units[i + 1..]
-                        .iter()
-                        .take_while(|d| e.path.is_prefix_of(&d.path))
-                        .count();
-                let [ic, qic, mqic] = column_sums(own[i..end].iter().copied());
-                ScEntry {
-                    path: e.path.clone(),
-                    kind: e.kind,
-                    synthetic: e.synthetic,
-                    title: e.title.clone(),
-                    ic,
-                    qic,
-                    mqic,
-                    bytes: units[i..end].iter().map(|d| d.own_bytes).sum(),
-                }
-            })
-            .collect();
-        StructuralCharacteristic { entries }
+        ScTables::new(index).apply(query)
     }
 
     /// All rows in preorder (the root first).

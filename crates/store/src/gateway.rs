@@ -312,24 +312,22 @@ impl Gateway {
         self.store.generation(url) == Some(generation)
     }
 
-    /// Cooks the store's current version of the requested document
-    /// ([`live::cook`]): its generation, header and `N` cooked packets,
-    /// all from one snapshot, so they describe one document.
+    /// Cooks the store's current version of the requested document:
+    /// plans it through the version's layout for the request's LOD and
+    /// codes the plan ([`live::cook_plan`]). Returns its generation,
+    /// header and `N` cooked packets, all from one snapshot, so they
+    /// describe one document.
     fn cook(&self, request: &Request) -> Result<(u64, DocumentHeader, Vec<Vec<u8>>), GatewayError> {
         let query = Query::parse(&request.query, self.store.pipeline());
         let snapshot = self
             .store
             .snapshot(&request.url, &query)
             .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let (header, packets) = live::cook(
-            &snapshot.document,
-            &snapshot.sc,
-            request.lod,
-            request.measure,
-            request.packet_size,
-            request.gamma,
-        )?;
-        Ok((snapshot.generation, header, packets))
+        let version = &snapshot.version;
+        let (plan, payload) = version.plan(&snapshot.sc, request.lod, request.measure);
+        let (header, packets) =
+            live::cook_plan(plan, &payload, request.packet_size, request.gamma)?;
+        Ok((version.generation, header, packets))
     }
 }
 

@@ -2,15 +2,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
 use mrtweb_content::query::Query;
-use mrtweb_content::sc::StructuralCharacteristic;
+use mrtweb_content::sc::{Measure, ScTables, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
+use mrtweb_docmodel::lod::Lod;
 use mrtweb_textproc::index::DocumentIndex;
 use mrtweb_textproc::pipeline::ScPipeline;
+use mrtweb_transport::plan::{PlanLayout, TransmissionPlan};
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,24 +27,60 @@ pub struct CacheStats {
 /// under a query, as [`DocumentStore::snapshot`] returns it.
 #[derive(Debug, Clone)]
 pub(crate) struct Snapshot {
-    /// The document.
-    pub(crate) document: Arc<Document>,
+    /// The version.
+    pub(crate) version: Arc<Version>,
     /// Its structural characteristic under the query.
     pub(crate) sc: Arc<StructuralCharacteristic>,
-    /// The version's generation (see [`DocumentStore::generation`]).
-    pub(crate) generation: u64,
 }
 
-/// A stored document with its pre-computed logical index.
+/// One stored version of a document: its logical index, computed at
+/// `put`, and the cook tables built from the two on first use — the
+/// SC's query-independent half and one plan layout per LOD. They go
+/// when the version does: once a `put` replaces it and the last cook
+/// holding it finishes.
 #[derive(Debug)]
-struct StoredDoc {
-    document: Arc<Document>,
+pub(crate) struct Version {
+    /// The document.
+    pub(crate) document: Arc<Document>,
     index: Arc<DocumentIndex>,
     /// Store-wide unique id of this exact document version; a `put`
     /// over the same URL assigns a fresh one, so derived caches (the
     /// edge cache's cooked blobs) can detect replacement without
     /// holding the document pointer.
-    generation: u64,
+    pub(crate) generation: u64,
+    sc_tables: OnceLock<ScTables>,
+    /// Indexed by [`Lod::depth`].
+    layouts: [OnceLock<PlanLayout>; Lod::ALL.len()],
+}
+
+impl Version {
+    /// The version's structural characteristic under `query`, through
+    /// its SC tables.
+    fn structural_characteristic(&self, query: &Query) -> StructuralCharacteristic {
+        self.sc_tables
+            .get_or_init(|| ScTables::new(&self.index))
+            .apply(Some(query))
+    }
+
+    /// The version's plan and payload at `lod` under `sc`, through its
+    /// layout for `lod`. An SC of this version lines up with the
+    /// layout's rows; any other is read by path.
+    pub(crate) fn plan(
+        &self,
+        sc: &StructuralCharacteristic,
+        lod: Lod,
+        measure: Measure,
+    ) -> (TransmissionPlan, Vec<u8>) {
+        self.layouts[lod.depth()]
+            .get_or_init(|| PlanLayout::new(&self.document, lod))
+            .plan(sc, measure)
+    }
+}
+
+/// A stored document version with its query-keyed SC cache.
+#[derive(Debug)]
+struct StoredDoc {
+    version: Arc<Version>,
     /// Query-keyed SC cache with insertion-order eviction.
     sc_cache: HashMap<String, Arc<StructuralCharacteristic>>,
     sc_order: Vec<String>,
@@ -53,8 +91,10 @@ struct StoredDoc {
 /// The logical index of every document is computed once at `put` time —
 /// "the weights of keywords of a document remain unchanged across
 /// queries, only the contribution by querying words need be
-/// incorporated" (§3.3) — and per-query structural characteristics are
-/// cached with bounded LRU-ish eviction.
+/// incorporated" (§3.3). The first cook of a version builds its SC
+/// tables and plan layouts, so a later query only scores itself, and
+/// per-query structural characteristics are cached with bounded
+/// first-in, first-out eviction (a hit does not reorder).
 ///
 /// # Example
 ///
@@ -80,8 +120,9 @@ pub struct DocumentStore {
     docs: RwLock<HashMap<String, StoredDoc>>,
     pipeline: ScPipeline,
     sc_capacity: usize,
-    stats: RwLock<CacheStats>,
-    /// Source of [`StoredDoc::generation`] values.
+    sc_hits: AtomicU64,
+    sc_misses: AtomicU64,
+    /// Source of [`Version::generation`] values.
     next_generation: AtomicU64,
 }
 
@@ -93,7 +134,8 @@ impl DocumentStore {
             docs: RwLock::new(HashMap::new()),
             pipeline: ScPipeline::default(),
             sc_capacity,
-            stats: RwLock::new(CacheStats::default()),
+            sc_hits: AtomicU64::new(0),
+            sc_misses: AtomicU64::new(0),
             next_generation: AtomicU64::new(0),
         }
     }
@@ -113,19 +155,24 @@ impl DocumentStore {
     /// Returns the previous document if one existed.
     pub fn put(&self, url: impl Into<String>, document: Document) -> Option<Arc<Document>> {
         let index = Arc::new(self.pipeline.run(&document));
-        let stored = StoredDoc {
+        let version = Version {
             document: Arc::new(document),
             index,
             // ORDERING: only uniqueness matters, not publication order —
             // the value travels to readers under the `docs` lock.
             generation: self.next_generation.fetch_add(1, Ordering::Relaxed),
+            sc_tables: OnceLock::new(),
+            layouts: Default::default(),
+        };
+        let stored = StoredDoc {
+            version: Arc::new(version),
             sc_cache: HashMap::new(),
             sc_order: Vec::new(),
         };
         self.docs
             .write()
             .insert(url.into(), stored)
-            .map(|s| s.document)
+            .map(|s| Arc::clone(&s.version.document))
     }
 
     /// The generation of the document currently stored at `url`, or
@@ -133,22 +180,31 @@ impl DocumentStore {
     /// derived artifact stamped with the generation it was built from
     /// (an edge-cache blob) is stale exactly when the stamps differ.
     pub fn generation(&self, url: &str) -> Option<u64> {
-        self.docs.read().get(url).map(|s| s.generation)
+        self.docs.read().get(url).map(|s| s.version.generation)
     }
 
     /// Removes a document.
     pub fn remove(&self, url: &str) -> Option<Arc<Document>> {
-        self.docs.write().remove(url).map(|s| s.document)
+        self.docs
+            .write()
+            .remove(url)
+            .map(|s| Arc::clone(&s.version.document))
     }
 
     /// Fetches a document.
     pub fn document(&self, url: &str) -> Option<Arc<Document>> {
-        self.docs.read().get(url).map(|s| Arc::clone(&s.document))
+        self.docs
+            .read()
+            .get(url)
+            .map(|s| Arc::clone(&s.version.document))
     }
 
     /// Fetches a document's pre-computed logical index.
     pub fn index(&self, url: &str) -> Option<Arc<DocumentIndex>> {
-        self.docs.read().get(url).map(|s| Arc::clone(&s.index))
+        self.docs
+            .read()
+            .get(url)
+            .map(|s| Arc::clone(&s.version.index))
     }
 
     /// Number of stored documents.
@@ -168,7 +224,12 @@ impl DocumentStore {
 
     /// Cache statistics so far.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.read()
+        CacheStats {
+            // ORDERING: monitoring counters — each total is independently
+            // exact; a torn (hits, misses) pair only skews one snapshot.
+            sc_hits: self.sc_hits.load(Ordering::Relaxed),
+            sc_misses: self.sc_misses.load(Ordering::Relaxed),
+        }
     }
 
     /// The structural characteristic of `url` under `query`, cached per
@@ -183,41 +244,42 @@ impl DocumentStore {
         self.snapshot(url, query).map(|s| s.sc)
     }
 
-    /// The document at `url`, its structural characteristic under
-    /// `query` and its generation, all of one version: a concurrent
-    /// `put` can make the snapshot old, never mixed. Anything cooked
-    /// from it (frames, a stamped edge blob) describes one document.
+    /// The version at `url` (document, generation and cook tables) and
+    /// its structural characteristic under `query`, all of one
+    /// version: a concurrent `put` can make the snapshot old, never
+    /// mixed. Anything cooked from it (frames, a stamped edge blob)
+    /// describes one document.
     ///
     /// Returns `None` for unknown URLs.
     pub(crate) fn snapshot(&self, url: &str, query: &Query) -> Option<Snapshot> {
         let key = canonical_query_key(query);
         // Fast path: read lock, cache hit.
-        let (document, index, generation) = {
+        let version = {
             let docs = self.docs.read();
             let stored = docs.get(url)?;
             if let Some(sc) = stored.sc_cache.get(&key) {
-                self.stats.write().sc_hits += 1;
+                // ORDERING: pure tally — the SC travels under the `docs`
+                // lock, not through this counter.
+                self.sc_hits.fetch_add(1, Ordering::Relaxed);
                 return Some(Snapshot {
-                    document: Arc::clone(&stored.document),
+                    version: Arc::clone(&stored.version),
                     sc: Arc::clone(sc),
-                    generation: stored.generation,
                 });
             }
-            (
-                Arc::clone(&stored.document),
-                Arc::clone(&stored.index),
-                stored.generation,
-            )
+            Arc::clone(&stored.version)
         };
         // Slow path: compute outside any lock, then cache it only in
         // the version it was computed from — a `put` in between leaves
         // the new version's cache alone.
-        let sc = Arc::new(StructuralCharacteristic::from_index(&index, Some(query)));
-        self.stats.write().sc_misses += 1;
+        let sc = Arc::new(version.structural_characteristic(query));
+        // ORDERING: same monitoring tally as the hit counter above.
+        self.sc_misses.fetch_add(1, Ordering::Relaxed);
         if self.sc_capacity > 0 {
             let mut docs = self.docs.write();
             if let Some(stored) = docs.get_mut(url) {
-                if stored.generation == generation && !stored.sc_cache.contains_key(&key) {
+                if stored.version.generation == version.generation
+                    && !stored.sc_cache.contains_key(&key)
+                {
                     if stored.sc_order.len() >= self.sc_capacity {
                         let evict = stored.sc_order.remove(0);
                         stored.sc_cache.remove(&evict);
@@ -227,11 +289,7 @@ impl DocumentStore {
                 }
             }
         }
-        Some(Snapshot {
-            document,
-            sc,
-            generation,
-        })
+        Some(Snapshot { version, sc })
     }
 }
 
@@ -396,10 +454,10 @@ mod tests {
         while !done.load(Ordering::Acquire) || checked < 100 {
             for (qi, q) in queries.iter().enumerate() {
                 let snap = store.snapshot("u", q).unwrap();
-                let v = usize::from(*snap.document != versions[0]);
+                let v = usize::from(*snap.version.document != versions[0]);
                 // Put k stores version k % 2 under generation k.
                 assert_eq!(
-                    snap.generation % 2,
+                    snap.version.generation % 2,
                     v as u64,
                     "generation of the other version"
                 );
@@ -417,7 +475,9 @@ mod tests {
                     .iter()
                     .find(|q| canonical_query_key(q) == *key)
                     .unwrap();
-                assert!(**sc == StructuralCharacteristic::from_index(&stored.index, Some(q)));
+                assert!(
+                    **sc == StructuralCharacteristic::from_index(&stored.version.index, Some(q))
+                );
             }
         }
     }

@@ -56,20 +56,11 @@ pub struct DocumentHeader {
 }
 
 /// Cooks a document for transmission: plans it at `lod` ordered by
-/// `measure`, sizes the code (`N` = [`cooked_packets`]`(M, gamma)`) and
-/// encodes the payload once. Returns the header and the `N` cooked
-/// packets by sequence — the one cook behind [`LiveServer::new`] and
-/// behind the edge cache's at-rest blob, so both carry the same bytes.
-///
-/// The encode is serial: at the paper shape (M = 40, N = 60, 256-byte
-/// packets) it takes 8–15 µs on a 2-vCPU Xeon VM, and fanning its rows
-/// over two threads took 78–92 µs there, nearly all of it thread spawns.
+/// `measure` ([`plan_document`]), then codes the plan ([`cook_plan`]).
 ///
 /// # Errors
 ///
-/// [`Error::InvalidParameters`] if the document needs more than 256
-/// cooked packets at this packet size (use a larger packet size or a
-/// chunking layer).
+/// As [`cook_plan`].
 pub fn cook(
     doc: &Document,
     sc: &StructuralCharacteristic,
@@ -79,13 +70,37 @@ pub fn cook(
     gamma: f64,
 ) -> Result<(DocumentHeader, Vec<Vec<u8>>), Error> {
     let (plan, payload) = plan_document(doc, sc, lod, measure);
+    cook_plan(plan, &payload, packet_size, gamma)
+}
+
+/// Codes a planned payload: sizes the code (`N` =
+/// [`cooked_packets`]`(M, gamma)`) and encodes the payload once.
+/// Returns the header and the `N` cooked packets by sequence — the one
+/// coder behind [`LiveServer::new`] and behind the edge cache's at-rest
+/// blob, so both carry the same bytes.
+///
+/// The encode is serial: at the paper shape (M = 40, N = 60, 256-byte
+/// packets) it takes 8–15 µs on a 2-vCPU Xeon VM, and fanning its rows
+/// over two threads took 78–92 µs there, nearly all of it thread spawns.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameters`] if the payload needs more than 256
+/// cooked packets at this packet size (use a larger packet size or a
+/// chunking layer).
+pub fn cook_plan(
+    plan: TransmissionPlan,
+    payload: &[u8],
+    packet_size: usize,
+    gamma: f64,
+) -> Result<(DocumentHeader, Vec<Vec<u8>>), Error> {
     let m = plan.raw_packets(packet_size);
     let n = cooked_packets(m, gamma);
     // Shared substrate: concurrent sessions serving the same (M, N)
     // shape reuse one systematic generator instead of re-deriving it.
     let codec = Codec::shared(m, n, packet_size)?;
     let mut cooked = Vec::new();
-    codec.encode_into(&payload, &mut cooked);
+    codec.encode_into(payload, &mut cooked);
     let packets = cooked
         .chunks_exact(packet_size)
         .map(<[u8]>::to_vec)
@@ -116,7 +131,7 @@ pub enum ClientEvent {
 
 /// The server side: owns the encoded document.
 ///
-/// All `N` cooked packets are encoded once ([`cook`]), framed once
+/// All `N` cooked packets are encoded once ([`cook_plan`]), framed once
 /// ([`LiveServer::from_cooked`]) and, for a server that puts them in a
 /// delivery envelope, sealed once ([`LiveServer::sealed`]), so
 /// retransmission rounds and repeat sessions replay cached wire bytes
@@ -191,20 +206,17 @@ impl LiveServer {
         min_packet_size: usize,
         gamma: f64,
     ) -> Result<Self, Error> {
-        let (plan, _) = plan_document(doc, sc, lod, measure);
-        let total = plan.total_bytes().max(1);
+        let (plan, payload) = plan_document(doc, sc, lod, measure);
         let mut packet_size = min_packet_size.max(1);
-        loop {
-            let m = total.div_ceil(packet_size).max(1);
-            if cooked_packets(m, gamma) <= 256 {
-                return LiveServer::new(doc, sc, lod, measure, packet_size, gamma);
-            }
+        while cooked_packets(plan.raw_packets(packet_size), gamma) > 256 {
             packet_size *= 2;
         }
+        let (header, packets) = cook_plan(plan, &payload, packet_size, gamma)?;
+        LiveServer::from_cooked(header, packets.into_iter().map(Some).collect())
     }
 
     /// Builds a server from already-cooked packets: the output of
-    /// [`cook`], or an edge cache serving the at-rest dispersed blob. No
+    /// [`cook_plan`], or an edge cache serving the at-rest dispersed blob. No
     /// codec is constructed and no [`EventKind::EncodeSpan`] is emitted:
     /// the packets were encoded exactly once when they were cooked, and
     /// this path only frames them for the wire. `None` entries mark

@@ -8,9 +8,12 @@
 //! content they carry, which is what lets a client accrue content from
 //! intact clear-text packets.
 
-use mrtweb_content::sc::{Measure, StructuralCharacteristic};
+use std::ops::Range;
+
+use mrtweb_content::sc::{Measure, ScEntry, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
+use mrtweb_docmodel::unit::UnitPath;
 
 /// One contiguous slice of the transmission: an organizational unit (or
 /// an interior unit's own text) scheduled as a whole.
@@ -150,66 +153,171 @@ impl TransmissionPlan {
 /// paradigm); at finer LODs the slices are ranked by descending content.
 ///
 /// Returns the plan together with the payload laid out in transmission
-/// order.
+/// order. This is [`PlanLayout::new`] then [`PlanLayout::plan`]; a
+/// caller that plans one document under many queries keeps the layout.
 pub fn plan_document(
     doc: &Document,
     sc: &StructuralCharacteristic,
     lod: Lod,
     measure: Measure,
 ) -> (TransmissionPlan, Vec<u8>) {
-    let parts = doc.partition_at(lod);
-    let mut slices = Vec::with_capacity(parts.len());
-    let mut texts: Vec<String> = Vec::with_capacity(parts.len());
-    for p in &parts {
-        // An interior node emitted for its own text only (it has
-        // children that were partitioned separately) contributes its
-        // own bytes; a subtree partition contributes everything.
-        let own_only = p.unit.kind() < lod && !p.unit.children().is_empty();
-        let text = if own_only {
-            let mut t = p.unit.title().unwrap_or("").to_owned();
-            let own = p.unit.own_text();
-            if !own.is_empty() {
-                if !t.is_empty() {
-                    t.push('\n');
+    PlanLayout::new(doc, lod).plan(sc, measure)
+}
+
+/// The half of [`plan_document`] that no query changes, for one
+/// document at one LOD: the partition's texts in one buffer, and each
+/// slice's label, byte range and structural-characteristic rows.
+/// [`PlanLayout::plan`] then scores, ranks and gathers the slices under
+/// one SC.
+#[derive(Debug, Clone)]
+pub struct PlanLayout {
+    lod: Lod,
+    /// The partitions' texts back to back, in document order.
+    text: Vec<u8>,
+    slices: Vec<LayoutSlice>,
+    /// Every unit's path in preorder: the rows, in order, of an SC
+    /// built from this document's index.
+    paths: Vec<UnitPath>,
+}
+
+/// One partition of a [`PlanLayout`].
+#[derive(Debug, Clone)]
+struct LayoutSlice {
+    label: String,
+    /// The slice's bytes within [`PlanLayout::text`].
+    range: Range<usize>,
+    /// The unit's preorder row.
+    row: usize,
+    /// For an interior unit sent for its own text only, the rows of its
+    /// direct children in preorder, whose share its content excludes;
+    /// empty for a whole subtree.
+    children: Vec<usize>,
+}
+
+impl PlanLayout {
+    /// Partitions `doc` at `lod` and lays out the partitions' texts.
+    pub fn new(doc: &Document, lod: Lod) -> Self {
+        let mut paths = Vec::with_capacity(doc.unit_count());
+        doc.root().walk(&mut UnitPath::root(), &mut |path, _| {
+            paths.push(path.clone());
+        });
+        // The content plus a separator or two per unit, allocated once
+        // rather than grown by doubling: `plan_document` builds a
+        // layout on every call.
+        let mut text = String::with_capacity(doc.content_len() + 2 * doc.unit_count());
+        let slices = doc
+            .partition_at(lod)
+            .into_iter()
+            .map(|p| {
+                // An interior node emitted for its own text only (it has
+                // children that were partitioned separately) contributes
+                // its own bytes; a subtree partition contributes
+                // everything.
+                let own_only = p.unit.kind() < lod && !p.unit.children().is_empty();
+                let start = text.len();
+                if own_only {
+                    let (title, own) = (p.unit.title().unwrap_or(""), p.unit.own_text());
+                    text.push_str(title);
+                    if !title.is_empty() && !own.is_empty() {
+                        text.push('\n');
+                    }
+                    text.push_str(&own);
+                } else {
+                    text.push_str(&p.unit.full_text());
                 }
-                t.push_str(&own);
-            }
-            t
-        } else {
-            p.unit.full_text()
-        };
-        let content = match sc.entry_at(&p.path) {
-            Some(e) if own_only => {
-                // Subtract the children's share: own = subtree − Σ child subtrees.
-                let child_sum: f64 = sc
-                    .entries()
-                    .iter()
-                    .filter(|c| {
-                        p.path.is_prefix_of(&c.path) && c.path.depth() == p.path.depth() + 1
-                    })
-                    .map(|c| StructuralCharacteristic::value(c, measure))
-                    .sum();
-                (StructuralCharacteristic::value(e, measure) - child_sum).max(0.0)
-            }
-            Some(e) => StructuralCharacteristic::value(e, measure),
-            None => 0.0,
-        };
-        slices.push(UnitSlice::new(p.path.to_string(), text.len(), content));
-        texts.push(text);
+                // Preorder is lexicographic path order, and a partition
+                // is a unit, so the search finds it.
+                let (Ok(row) | Err(row)) = paths.binary_search(&p.path);
+                // Each child's subtree fills the rows up to the next child.
+                let mut next = row + 1;
+                let children = if own_only {
+                    let rows = p.unit.children().iter().map(|c| {
+                        let at = next;
+                        next += c.count();
+                        at
+                    });
+                    rows.collect()
+                } else {
+                    Vec::new()
+                };
+                LayoutSlice {
+                    label: p.path.to_string(),
+                    range: start..text.len(),
+                    row,
+                    children,
+                }
+            })
+            .collect();
+        PlanLayout {
+            lod,
+            text: text.into_bytes(),
+            slices,
+            paths,
+        }
     }
-    let plan = if lod == Lod::Document {
-        TransmissionPlan::sequential(slices)
-    } else {
-        // Rank while carrying the texts along in the same permutation.
-        let mut order: Vec<usize> = (0..slices.len()).collect();
-        order.sort_by(|&a, &b| slices[b].content.total_cmp(&slices[a].content));
-        let slices_ranked: Vec<UnitSlice> = order.iter().map(|&i| slices[i].clone()).collect();
-        let texts_ranked: Vec<String> = order.iter().map(|&i| texts[i].clone()).collect();
-        texts = texts_ranked;
-        TransmissionPlan::sequential(slices_ranked)
-    };
-    let payload: Vec<u8> = texts.concat().into_bytes();
-    (plan, payload)
+
+    /// The plan and payload under `sc`, ordered by `measure`: each
+    /// slice's content is its row's value (for an interior unit's own
+    /// text, the row's value less its children's, floored at 0); the
+    /// slices are ranked by descending content, stably, except at
+    /// [`Lod::Document`]; then the payload is gathered in that order.
+    ///
+    /// An SC whose rows are not this document's, in preorder, is read
+    /// by path instead, and a path it lacks carries no content.
+    pub fn plan(
+        &self,
+        sc: &StructuralCharacteristic,
+        measure: Measure,
+    ) -> (TransmissionPlan, Vec<u8>) {
+        let rows = sc.entries();
+        let lined_up = rows.len() == self.paths.len()
+            && rows.iter().zip(&self.paths).all(|(e, p)| &e.path == p);
+        let value = |e: &ScEntry| StructuralCharacteristic::value(e, measure);
+        let contents: Vec<f64> = self
+            .slices
+            .iter()
+            .map(|s| {
+                let path = &self.paths[s.row];
+                let entry = if lined_up {
+                    rows.get(s.row)
+                } else {
+                    sc.entry_at(path)
+                };
+                let Some(entry) = entry else {
+                    return 0.0;
+                };
+                if s.children.is_empty() {
+                    return value(entry);
+                }
+                // Subtract the children's share: own = subtree − Σ child subtrees.
+                let child_sum: f64 = if lined_up {
+                    s.children.iter().map(|&c| value(&rows[c])).sum()
+                } else {
+                    rows.iter()
+                        .filter(|c| {
+                            path.is_prefix_of(&c.path) && c.path.depth() == path.depth() + 1
+                        })
+                        .map(value)
+                        .sum()
+                };
+                (value(entry) - child_sum).max(0.0)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..self.slices.len()).collect();
+        if self.lod != Lod::Document {
+            order.sort_by(|&a, &b| contents[b].total_cmp(&contents[a]));
+        }
+        let mut payload = Vec::with_capacity(self.text.len());
+        let slices = order
+            .into_iter()
+            .map(|i| {
+                let s = &self.slices[i];
+                payload.extend_from_slice(&self.text[s.range.clone()]);
+                UnitSlice::new(s.label.clone(), s.range.len(), contents[i])
+            })
+            .collect();
+        (TransmissionPlan::sequential(slices), payload)
+    }
 }
 
 #[cfg(test)]
