@@ -17,6 +17,8 @@
 #   doc            rustdoc for the workspace, -D warnings (broken or
 #                  private intra-doc links fail it)
 #   tier1          release build + default-feature test suite
+#   examples       release build of every example, then run each
+#                  examples/*.rs demo; fails on any nonzero exit
 #   tests          full workspace test sweep (PROPTEST_CASES honored)
 #   obs-no-trace   mrtweb-obs with the `trace` feature off (no-op path)
 #   proxy-fallback mrtweb-proxy with the `event` feature off (blocking
@@ -41,13 +43,13 @@
 #                  an instrumented std via -Zbuild-std to avoid false
 #                  positives in uninstrumented runtime code)
 #
-# tier1, tests and mrtbench build with --locked: a manifest edit that
-# would rewrite Cargo.lock or examples/mrtbench/Cargo.lock fails there
-# instead of being rewritten silently. faults, proxy-smoke, broadcast
-# and edge drive target/release/mrtweb, so each of them runs
-# `cargo build --release --locked` first (a no-op on a fresh build):
-# run alone after a source edit, a stage tests the tree, not the
-# previous build.
+# tier1, examples, tests and mrtbench build with --locked: a manifest
+# edit that would rewrite Cargo.lock or examples/mrtbench/Cargo.lock
+# fails there instead of being rewritten silently. faults,
+# proxy-smoke, broadcast and edge drive target/release/mrtweb, so each
+# of them runs `cargo build --release --locked` first (a no-op on a
+# fresh build): run alone after a source edit, a stage tests the tree,
+# not the previous build.
 #
 # The proxy readiness wait is bounded but configurable: set
 # MRTWEB_PROXY_WAIT_SECS (default 5) on slow runners. The proxy child
@@ -55,7 +57,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt analysis loc clippy doc tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
+ALL_STAGES="fmt analysis loc clippy doc tier1 examples tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge mrtbench bench bench-gate miri tsan"
 
 run_bench=1
 quick=0
@@ -141,6 +143,18 @@ stage_tier1() {
   echo "==> tier-1: cargo build --release --locked && cargo test -q --locked"
   cargo build --release --locked
   cargo test -q --locked
+}
+
+stage_examples() {
+  echo "==> examples: release build, then run every examples/*.rs demo"
+  cargo build --release --locked --examples
+  local example name
+  for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "    $name"
+    "target/release/examples/$name" > /dev/null \
+      || { echo "example $name exited nonzero" >&2; return 1; }
+  done
 }
 
 stage_tests() {
@@ -348,6 +362,7 @@ for stage in $stages; do
     clippy) stage_clippy ;;
     doc) stage_doc ;;
     tier1) stage_tier1 ;;
+    examples) stage_examples ;;
     tests) stage_tests ;;
     obs-no-trace) stage_obs_no_trace ;;
     proxy-fallback) stage_proxy_fallback ;;

@@ -372,11 +372,6 @@ impl FaultScheduler {
         &self.cfg
     }
 
-    /// Packets scheduled so far.
-    pub fn packets_scheduled(&self) -> u64 {
-        self.next_packet
-    }
-
     /// The log of every non-clean decision, in packet order.
     pub fn trace(&self) -> &[FaultEvent] {
         &self.trace
@@ -716,11 +711,6 @@ impl<L: LossModel> FaultyLink<L> {
     /// The wrapped link.
     pub fn link(&self) -> &Link<L> {
         &self.link
-    }
-
-    /// Mutable access to the wrapped link.
-    pub fn link_mut(&mut self) -> &mut Link<L> {
-        &mut self.link
     }
 
     /// The fault scheduler.

@@ -131,11 +131,6 @@ impl Unit {
         &self.children
     }
 
-    /// Mutable access to child units.
-    pub fn children_mut(&mut self) -> &mut Vec<Unit> {
-        &mut self.children
-    }
-
     /// Appends a child unit.
     pub fn push_child(&mut self, child: Unit) {
         self.children.push(child);

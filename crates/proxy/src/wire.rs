@@ -219,20 +219,6 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-impl WireError {
-    /// Whether this is a read/write timeout (idle peer), as opposed to
-    /// a hard failure.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            WireError::Io(e) if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-        )
-    }
-}
-
 // ── body writers ────────────────────────────────────────────────────
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {

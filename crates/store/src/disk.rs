@@ -121,11 +121,8 @@ pub fn save_store(dir: &Path, store: &DocumentStore) -> Result<usize, DiskError>
 /// # Errors
 ///
 /// Only directory-level I/O failures abort.
-pub fn load_store(
-    dir: &Path,
-    sc_capacity: usize,
-) -> Result<(DocumentStore, Vec<String>), DiskError> {
-    let store = DocumentStore::new(sc_capacity);
+pub fn load_store(dir: &Path) -> Result<(DocumentStore, Vec<String>), DiskError> {
+    let store = DocumentStore::new(0);
     let mut corrupt = Vec::new();
     if !dir.exists() {
         return Ok((store, corrupt));
@@ -186,7 +183,7 @@ mod tests {
         store.put("a", doc("alpha words"));
         store.put("b", doc("beta words"));
         assert_eq!(save_store(&dir, &store).unwrap(), 2);
-        let (loaded, corrupt) = load_store(&dir, 4).unwrap();
+        let (loaded, corrupt) = load_store(&dir).unwrap();
         assert!(corrupt.is_empty());
         assert_eq!(loaded.len(), 2);
         assert_eq!(
@@ -207,7 +204,7 @@ mod tests {
         let end = bytes.len() - 1;
         bytes.truncate(end);
         fs::write(&path, bytes).unwrap();
-        let (loaded, corrupt) = load_store(&dir, 2).unwrap();
+        let (loaded, corrupt) = load_store(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(corrupt, vec!["bad".to_string()]);
         fs::remove_dir_all(&dir).unwrap();
@@ -216,7 +213,7 @@ mod tests {
     #[test]
     fn missing_directory_loads_empty() {
         let dir = temp_dir("ghost").join("nested-never-created");
-        let (loaded, corrupt) = load_store(&dir, 2).unwrap();
+        let (loaded, corrupt) = load_store(&dir).unwrap();
         assert!(loaded.is_empty());
         assert!(corrupt.is_empty());
     }

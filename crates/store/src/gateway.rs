@@ -3,9 +3,10 @@
 //! In the paper's Figure 1 the document transmitter sits behind a
 //! database gateway that serves documents and their structural
 //! characteristics. [`Gateway`] is that component: given a
-//! `(url, query, LOD, γ)` request it pulls the document and cached SC
-//! from the [`DocumentStore`] and hands back a ready
-//! [`LiveServer`], plus the plan metadata a sequence manager needs.
+//! `(url, query, LOD, γ)` request it reads the document's current
+//! version from the [`DocumentStore`], scores the query's SC through
+//! it and hands back a ready [`LiveServer`], plus the plan metadata a
+//! sequence manager needs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,18 +314,19 @@ impl Gateway {
     }
 
     /// Cooks the store's current version of the requested document:
-    /// plans it through the version's layout for the request's LOD and
-    /// codes the plan ([`live::cook_plan`]). Returns its generation,
-    /// header and `N` cooked packets, all from one snapshot, so they
-    /// describe one document.
+    /// scores the query through the version's SC tables, plans through
+    /// its layout for the request's LOD and codes the plan
+    /// ([`live::cook_plan`]). Returns its generation, header and `N`
+    /// cooked packets, all from the one version read, so they describe
+    /// one document.
     fn cook(&self, request: &Request) -> Result<(u64, DocumentHeader, Vec<Vec<u8>>), GatewayError> {
         let query = Query::parse(&request.query, self.store.pipeline());
-        let snapshot = self
+        let version = self
             .store
-            .snapshot(&request.url, &query)
+            .version(&request.url)
             .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let version = &snapshot.version;
-        let (plan, payload) = version.plan(&snapshot.sc, request.lod, request.measure);
+        let sc = self.store.score(&version, &query);
+        let (plan, payload) = version.plan(&sc, request.lod, request.measure);
         let (header, packets) =
             live::cook_plan(plan, &payload, request.packet_size, request.gamma)?;
         Ok((version.generation, header, packets))
@@ -447,20 +449,6 @@ mod tests {
             .prepare(&Request::new("http://nowhere/", "x"))
             .unwrap_err();
         assert!(matches!(err, GatewayError::NotFound(_)));
-    }
-
-    #[test]
-    fn repeated_requests_hit_the_sc_cache() {
-        let gw = gateway();
-        let req = Request {
-            packet_size: 32,
-            ..Request::new("http://site/paper", "mobile")
-        };
-        gw.prepare(&req).unwrap();
-        gw.prepare(&req).unwrap();
-        let stats = gw.store().stats();
-        assert_eq!(stats.sc_misses, 1);
-        assert_eq!(stats.sc_hits, 1);
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -607,6 +595,33 @@ mod tests {
         let (again, hit) = gw.prepare_edge(&req).unwrap();
         assert!(hit, "a repeat request hits the prepared map");
         assert_eq!(srv.header(), again.header());
+        assert_eq!(gw.prepared_cache_counters(), (1, 1));
+    }
+
+    #[test]
+    fn prepared_map_stops_serving_removed_documents() {
+        let gw = gateway();
+        let req = Request {
+            packet_size: 32,
+            ..Request::new("http://site/paper", "mobile wireless")
+        };
+        assert!(!gw.prepare_edge(&req).unwrap().1);
+        assert!(gw.prepare_edge(&req).unwrap().1);
+        gw.store().remove("http://site/paper");
+        for err in [
+            gw.prepare_edge(&req).unwrap_err(),
+            gw.prepare(&req).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, GatewayError::NotFound(_)),
+                "a removed document must not keep serving from the prepared map: {err}"
+            );
+        }
+        let query = Query::parse(&req.query, gw.store().pipeline());
+        assert!(gw
+            .store()
+            .structural_characteristic(&req.url, &query)
+            .is_none());
         assert_eq!(gw.prepared_cache_counters(), (1, 1));
     }
 

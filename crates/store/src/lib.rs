@@ -9,11 +9,12 @@
 //!   documents and logical indexes (length-prefixed, versioned), so the
 //!   store can persist without a JSON/XML round trip;
 //! * [`store`] — a concurrent in-memory [`store::DocumentStore`] keyed
-//!   by URL, caching logical indexes and per-query structural
-//!   characteristics with LRU eviction and hit/miss statistics ("the
-//!   QIC of each organizational unit is determined every time the
-//!   search engine receives a query … the computational overhead is
-//!   quite low" — §3.3, and lower still when cached);
+//!   by URL, holding one version per document: its logical index and
+//!   the cook tables built from it, through which every query's
+//!   structural characteristic is scored afresh ("the QIC of each
+//!   organizational unit is determined every time the search engine
+//!   receives a query … the computational overhead is quite low" —
+//!   §3.3);
 //! * [`disk`] — directory-backed persistence with atomic replace;
 //! * [`gateway`] — [`gateway::Gateway`]: store + pipeline glue that
 //!   prepares a ready-to-send [`mrtweb_transport::live::LiveServer`]

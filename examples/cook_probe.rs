@@ -3,11 +3,11 @@
 //! Loads the `mrtbench` `cold` corpus (64 generated documents drawn
 //! from one seed) into a store, then calls `prepare_edge` with a fresh
 //! three-word QIC query each time, at paragraph LOD with 256-byte
-//! packets and γ = 1.5, so every call misses the prepared map and the
-//! SC cache and cooks: SC, plan, encode, frame. The first call on each
-//! document (which also builds that version's cook tables) is timed on
-//! its own, by the clock; then batches of calls are timed, and the
-//! per-call CPU time of the batches is printed as median [q1, q3].
+//! packets and γ = 1.5, so every call misses the prepared map and
+//! cooks: SC, plan, encode, frame. The first call on each document
+//! (which also builds that version's cook tables) is timed on its own,
+//! by the clock; then batches of calls are timed, and the per-call CPU
+//! time of the batches is printed as median [q1, q3].
 //!
 //! ```sh
 //! cargo run --release --example cook_probe -- [SEED] [BATCHES]

@@ -1,7 +1,7 @@
 //! The full server side of Figure 1: documents persisted in a
-//! database-gateway store, structural characteristics cached per query,
-//! transmissions prepared on request, and delivered to a live client
-//! over a lossy link.
+//! database-gateway store, transmissions prepared on request (a repeat
+//! request served from the gateway's prepared-transmission cache), and
+//! delivered to a live client over a lossy link.
 //!
 //! ```sh
 //! cargo run --example gateway_server
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Persist and reload — the gateway restarts without re-crawling.
     let dir = std::env::temp_dir().join("mrtweb-gateway-example");
     let saved = save_store(&dir, &store)?;
-    let (reloaded, corrupt) = load_store(&dir, 16)?;
+    let (reloaded, corrupt) = load_store(&dir)?;
     println!(
         "persisted {saved} documents; reloaded {} (corrupt: {})",
         reloaded.len(),
@@ -85,13 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.completed, report.rounds, report.frames_corrupted, report.frames_sent
     );
 
-    // 4. The second identical request hits the SC cache.
-    let _ = gateway.prepare(&request)?;
-    let stats = gateway.store().stats();
-    println!(
-        "sc cache: {} hits, {} misses",
-        stats.sc_hits, stats.sc_misses
-    );
+    // 4. A repeat request reuses the cooked transmission.
+    let (_, first_hit) = gateway.prepare_edge(&request)?;
+    let (_, second_hit) = gateway.prepare_edge(&request)?;
+    let (hits, misses) = gateway.prepared_cache_counters();
+    assert!(!first_hit && second_hit && (hits, misses) == (1, 1));
+    println!("prepared-transmission cache: {hits} hits, {misses} misses");
 
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
