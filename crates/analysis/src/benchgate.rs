@@ -714,6 +714,24 @@ mod tests {
     }
 
     #[test]
+    fn kernel_tier_names_parse_and_stay_out_of_the_gate() {
+        // The erasure report names the GF(2⁸) and CRC kernels it timed
+        // as strings; they parse, survive into a composed baseline and
+        // add no comparable metric.
+        let named = ERASURE.replacen(
+            "\"quick\": false,",
+            "\"quick\": false, \"gf256_tier\": \"Gfni512\", \"crc_tier\": \"Clmul\",",
+            1,
+        );
+        let doc = parse_json(&named).unwrap();
+        assert_eq!(doc.get("crc_tier").and_then(Json::as_str), Some("Clmul"));
+        let plain = fresh_metrics(ERASURE, PROXY, BROADCAST).unwrap();
+        assert_eq!(fresh_metrics(&named, PROXY, BROADCAST).unwrap(), plain);
+        let base = baseline_metrics(&compose_baseline(&named, PROXY, BROADCAST)).unwrap();
+        assert_eq!(base, plain);
+    }
+
+    #[test]
     fn proxy_envelope_parses_both_shapes() {
         // The bare array and the enveloped sweep flatten to the same
         // proxy/clients=… keys; the envelope adds proxy/edge/… keys.

@@ -13,8 +13,10 @@ use criterion::{BenchmarkId, Criterion, Throughput};
 use std::fmt::Write as _;
 use std::hint::black_box;
 
-use mrtweb_erasure::crc::{crc16, crc16_reference, crc32, crc32_reference};
-use mrtweb_erasure::gf256::mul_acc_scalar;
+use mrtweb_erasure::crc::{
+    self, crc16, crc16_portable, crc16_reference, crc32, crc32_portable, crc32_reference,
+};
+use mrtweb_erasure::gf256::{self, mul_acc_scalar};
 use mrtweb_erasure::ida::Codec;
 use mrtweb_erasure::packet::Frame;
 use mrtweb_erasure::par::{default_threads, encode_into_parallel};
@@ -137,9 +139,18 @@ fn benches(c: &mut Criterion) {
     });
     g.bench_function("crc16_frame", |b| b.iter(|| crc16(black_box(&wire))));
     g.bench_function("crc32_frame", |b| b.iter(|| crc32(black_box(&wire))));
+    // The sliced fallback on the same frame, whatever tier the CPU has.
+    g.bench_function("crc16_frame_portable", |b| {
+        b.iter(|| crc16_portable(black_box(&wire)));
+    });
+    g.bench_function("crc32_frame_portable", |b| {
+        b.iter(|| crc32_portable(black_box(&wire)));
+    });
 
-    // Sliced CRC kernels vs the bit-at-a-time references on a buffer
-    // large enough that table effects dominate.
+    // The dispatched CRC kernels (the `*_sliced` names predate the
+    // carry-less tier; `crc_tier` in the report names the kernel) vs the
+    // bit-at-a-time references on a buffer large enough that per-call
+    // overhead vanishes.
     let big: Vec<u8> = (0..65536).map(|i| (i * 211 + 9) as u8).collect();
     g.throughput(Throughput::Bytes(big.len() as u64));
     g.bench_function("crc32_64k_sliced", |b| b.iter(|| crc32(black_box(&big))));
@@ -204,15 +215,22 @@ fn write_summary(c: &Criterion, trace_overhead_pct: f64) {
             scalar / fast
         );
     }
-    if let (Some(bitwise), Some(sliced)) =
-        (find(c, "crc32_64k_bitwise"), find(c, "crc32_64k_sliced"))
-    {
-        let _ = writeln!(
-            out,
-            "  \"crc32_speedup_vs_bitwise\": {:.2},",
-            bitwise / sliced
-        );
+    for crc in ["crc32", "crc16"] {
+        if let (Some(bitwise), Some(fast)) = (
+            find(c, &format!("{crc}_64k_bitwise")),
+            find(c, &format!("{crc}_64k_sliced")),
+        ) {
+            let _ = writeln!(
+                out,
+                "  \"{crc}_speedup_vs_bitwise\": {:.2},",
+                bitwise / fast
+            );
+        }
     }
+    // The kernels this report measured, as the dispatchers pick them.
+    let gf_tier = gf256::detected_tiers()[0];
+    let _ = writeln!(out, "  \"gf256_tier\": \"{gf_tier:?}\",");
+    let _ = writeln!(out, "  \"crc_tier\": \"{:?}\",", crc::tier());
     let _ = writeln!(out, "  \"trace_overhead_pct\": {trace_overhead_pct:.2},");
     // Least-squares slope of log(setup ns) against log(M): the measured
     // scaling exponent of codec construction. The Cauchy path should

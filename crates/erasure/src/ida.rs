@@ -23,6 +23,7 @@ use mrtweb_obs::{emit, EventKind, Span};
 use crate::cauchy;
 use crate::gf256::{mul_acc, mul_row, Gf256};
 use crate::matrix::Matrix;
+use crate::packet::{seal_frame, FRAME_OVERHEAD, PAYLOAD_OFFSET};
 use crate::Error;
 
 /// Decode inverses retained per codec before the cache is reset.
@@ -293,6 +294,35 @@ impl Codec {
     ///
     /// Panics if `data.len() > self.capacity()`.
     pub fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        out.resize(self.cooked * self.packet_size, 0);
+        self.encode_strided(data, out, self.packet_size, 0);
+    }
+
+    /// Encodes `data` straight into `N` wire frames: `out` becomes `N`
+    /// slots of `packet_size + FRAME_OVERHEAD` bytes, slot `i` holding
+    /// exactly the bytes of `Frame::new(i, cooked packet i).to_wire()`.
+    ///
+    /// A server framing a cooked document this way makes one allocation
+    /// (none when `out` is reused) and writes each packet once: the
+    /// encode fills each slot's payload in place and [`seal_frame`]
+    /// writes the sequence number and CRC-16 around it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() > self.capacity()`.
+    pub fn encode_frames(&self, data: &[u8], out: &mut Vec<u8>) {
+        let stride = self.packet_size + FRAME_OVERHEAD;
+        out.resize(self.cooked * stride, 0);
+        self.encode_strided(data, out, stride, PAYLOAD_OFFSET);
+        for (i, slot) in out.chunks_exact_mut(stride).enumerate() {
+            seal_frame(i as u16, slot);
+        }
+    }
+
+    /// The one encode core: writes cooked packet `i` to
+    /// `out[i·stride + offset..][..packet_size]`, leaving the bytes
+    /// between rows as they are. `out` must hold `N` rows at `stride`.
+    fn encode_strided(&self, data: &[u8], out: &mut [u8], stride: usize, offset: usize) {
         assert!(
             data.len() <= self.capacity(),
             "data ({} bytes) exceeds codec capacity ({} bytes)",
@@ -301,15 +331,21 @@ impl Codec {
         );
         let span = Span::start(EventKind::EncodeSpan);
         let ps = self.packet_size;
-        out.resize(self.cooked * ps, 0);
-        let (clear, redundancy) = out.split_at_mut(self.raw * ps);
-        clear[..data.len()].copy_from_slice(data);
-        clear[data.len()..].fill(0);
-        for (ri, row) in redundancy.chunks_exact_mut(ps).enumerate() {
-            let i = self.raw + ri;
-            mul_row(row, &clear[..ps], self.generator.get(i, 0));
+        let (clear, redundancy) = out.split_at_mut(self.raw * stride);
+        let mut rest = data;
+        for slot in clear.chunks_exact_mut(stride) {
+            let (head, pad) = slot[offset..offset + ps].split_at_mut(rest.len().min(ps));
+            let (taken, left) = rest.split_at(head.len());
+            head.copy_from_slice(taken);
+            pad.fill(0);
+            rest = left;
+        }
+        let raw = |j: usize| &clear[j * stride + offset..][..ps];
+        for (i, slot) in (self.raw..).zip(redundancy.chunks_exact_mut(stride)) {
+            let row = &mut slot[offset..offset + ps];
+            mul_row(row, raw(0), self.generator.get(i, 0));
             for j in 1..self.raw {
-                mul_acc(row, &clear[j * ps..(j + 1) * ps], self.generator.get(i, j));
+                mul_acc(row, raw(j), self.generator.get(i, j));
             }
         }
         span.end(self.cooked as u64);
@@ -762,6 +798,25 @@ mod tests {
         let cooked = codec.encode(&data);
         for (i, expect) in cooked.iter().enumerate() {
             assert_eq!(&codec.encode_one(&raws, i), expect, "cooked {i} mismatch");
+        }
+    }
+
+    #[test]
+    fn encode_frames_lays_out_each_cooked_packet_as_its_wire_frame() {
+        use crate::packet::Frame;
+        for ps in [1, 7, 16, 61] {
+            let codec = Codec::new(3, 5, ps).unwrap();
+            let data = sample(3 * ps - 1);
+            // Whatever the buffer held before is overwritten.
+            let mut frames = vec![0xEE; 3];
+            codec.encode_frames(&data, &mut frames);
+            let want: Vec<u8> = codec
+                .encode(&data)
+                .into_iter()
+                .enumerate()
+                .flat_map(|(i, p)| Frame::new(i as u16, p).to_wire())
+                .collect();
+            assert_eq!(frames, want, "packet size {ps}");
         }
     }
 

@@ -17,6 +17,28 @@ use crate::Error;
 /// Per-frame overhead in bytes (sequence number + CRC), the paper's `O`.
 pub const FRAME_OVERHEAD: usize = 4;
 
+/// Where a frame's payload starts: after the 2-byte sequence number.
+pub const PAYLOAD_OFFSET: usize = 2;
+
+/// Frames the payload already in `slot`: writes cooked packet
+/// `sequence`'s number into the first [`PAYLOAD_OFFSET`] bytes and the
+/// CRC-16 of everything before the last two bytes into those, so `slot`
+/// reads `seq (2B BE) | payload | crc16 (2B BE)`. The one frame writer:
+/// [`Frame::to_wire`] and the frame slots of
+/// [`Codec::encode_frames`](crate::ida::Codec::encode_frames) both go
+/// through it. A slot shorter than [`FRAME_OVERHEAD`] holds no frame and
+/// is left as it is.
+pub fn seal_frame(sequence: u16, slot: &mut [u8]) {
+    let Some((body, crc)) = slot.split_last_chunk_mut() else {
+        return;
+    };
+    let Some((seq, _)) = body.split_first_chunk_mut() else {
+        return;
+    };
+    *seq = sequence.to_be_bytes();
+    *crc = crc16(body).to_be_bytes();
+}
+
 /// A framed cooked packet.
 ///
 /// # Example
@@ -61,13 +83,14 @@ impl Frame {
         self.payload
     }
 
-    /// Serializes the frame: `seq (2B BE) | payload | crc16 (2B BE)`.
+    /// Serializes the frame: `seq (2B BE) | payload | crc16 (2B BE)`
+    /// ([`seal_frame`]).
     pub fn to_wire(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.payload.len().saturating_add(FRAME_OVERHEAD));
-        buf.extend_from_slice(&self.sequence.to_be_bytes());
+        buf.extend_from_slice(&[0; PAYLOAD_OFFSET]);
         buf.extend_from_slice(&self.payload);
-        let crc = crc16(&buf);
-        buf.extend_from_slice(&crc.to_be_bytes());
+        buf.extend_from_slice(&[0; FRAME_OVERHEAD - PAYLOAD_OFFSET]);
+        seal_frame(self.sequence, &mut buf);
         buf
     }
 

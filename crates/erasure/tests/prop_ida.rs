@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use mrtweb_erasure::crc::{crc16, crc16_reference, crc32, crc32_reference};
+use mrtweb_erasure::crc::{
+    crc16, crc16_portable, crc16_reference, crc32, crc32_portable, crc32_reference, Crc32,
+};
 use mrtweb_erasure::gf256::{mul_acc, mul_acc_scalar, mul_row, Gf256};
 use mrtweb_erasure::ida::{ChunkedCodec, Codec, GroupPackets};
 use mrtweb_erasure::matrix::Matrix;
@@ -316,13 +318,29 @@ proptest! {
         prop_assert_eq!(&second, &data);
     }
 
-    /// The sliced CRC kernels agree with the bit-at-a-time references
-    /// on arbitrary buffers (all remainder lengths get exercised).
+    /// Both CRC tiers agree with the bit-at-a-time references on
+    /// arbitrary buffers up to 4 KiB at arbitrary start offsets: the
+    /// dispatched kernels (carry-less on a CLMUL host) and the portable
+    /// sliced ones, which a CLMUL host would otherwise never run.
+    /// `Crc32` fed in three pieces at random split points agrees too.
     #[test]
     fn sliced_crcs_match_bitwise_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..200),
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        offset in 0usize..16,
+        cuts in (any::<usize>(), any::<usize>()),
     ) {
-        prop_assert_eq!(crc32(&data), crc32_reference(&data));
-        prop_assert_eq!(crc16(&data), crc16_reference(&data));
+        let buf = &data[offset.min(data.len())..];
+        let (want32, want16) = (crc32_reference(buf), crc16_reference(buf));
+        prop_assert_eq!(crc32(buf), want32);
+        prop_assert_eq!(crc32_portable(buf), want32);
+        prop_assert_eq!(crc16(buf), want16);
+        prop_assert_eq!(crc16_portable(buf), want16);
+        let a = cuts.0 % (buf.len() + 1);
+        let b = a + cuts.1 % (buf.len() - a + 1);
+        let mut streamed = Crc32::new();
+        for piece in [&buf[..a], &buf[a..b], &buf[b..]] {
+            streamed.update(piece);
+        }
+        prop_assert_eq!(streamed.finish(), want32);
     }
 }

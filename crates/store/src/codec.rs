@@ -281,12 +281,13 @@ pub fn encode_dispersed(
 /// layout [`encode_dispersed`] documents): each group is its payload
 /// byte length and its `N` cooked packets of `packet_size` bytes. This
 /// is the writer behind [`encode_dispersed`], and how an edge-cache
-/// miss stores the packets it just cooked without encoding them again.
-pub fn write_blob(
+/// miss stores the packets it just cooked without encoding them again
+/// (borrowed straight from the server's frames).
+pub fn write_blob<P: AsRef<[u8]>>(
     m: usize,
     packet_size: usize,
     doc_len: usize,
-    groups: &[(usize, &[Vec<u8>])],
+    groups: &[(usize, &[P])],
 ) -> Vec<u8> {
     let n_groups = groups.len();
     let n = groups.first().map_or(0, |(_, cooked)| cooked.len());
@@ -305,7 +306,7 @@ pub fn write_blob(
     buf.extend_from_slice(&(n_groups as u32).to_le_bytes());
     for &(len, cooked) in groups {
         buf.extend_from_slice(&(len as u32).to_le_bytes());
-        for p in cooked {
+        for p in cooked.iter().map(AsRef::as_ref) {
             buf.extend_from_slice(p);
             buf.extend_from_slice(&crc32(p).to_le_bytes());
         }

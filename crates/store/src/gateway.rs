@@ -16,7 +16,7 @@ use mrtweb_content::query::Query;
 use mrtweb_content::sc::Measure;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::Error as ErasureError;
-use mrtweb_transport::live::{self, DocumentHeader, LiveServer};
+use mrtweb_transport::live::{self, LiveServer};
 
 use crate::codec::write_blob;
 use crate::edge::{EdgeCache, EdgeError, EdgeKey};
@@ -241,7 +241,9 @@ impl Gateway {
             // state.
             edge.remove(&key);
         }
-        let (generation, header, packets) = self.cook(request)?;
+        let (generation, live) = self.cook(request)?;
+        let header = live.header();
+        let packets: Vec<&[u8]> = (0..header.n).filter_map(|i| live.payload(i)).collect();
         let blob = write_blob(
             header.m,
             header.packet_size,
@@ -254,7 +256,7 @@ impl Gateway {
         // cache copy is lost. The cache tallies failures
         // (`EdgeStats::admit_failures`).
         let _ = edge.admit_from_store(key, header.clone(), &blob, generation);
-        Ok((Arc::new(frame(header, packets)?), false))
+        Ok((Arc::new(live), false))
     }
 
     /// [`Gateway::prepare_edge`] without an edge cache: the bounded
@@ -276,10 +278,10 @@ impl Gateway {
             self.prepared_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((live, true));
         }
-        let (generation, header, packets) = self.cook(request)?;
+        let (generation, live) = self.cook(request)?;
         // ORDERING: same monitoring tally as the hit counter above.
         self.prepared_misses.fetch_add(1, Ordering::Relaxed);
-        let live = Arc::new(frame(header, packets)?);
+        let live = Arc::new(live);
         let mut map = self
             .prepared
             .lock()
@@ -302,8 +304,7 @@ impl Gateway {
     /// [`GatewayError::Encoding`] when the document needs more than 256
     /// cooked packets at the requested packet size.
     pub fn prepare(&self, request: &Request) -> Result<LiveServer, GatewayError> {
-        let (_, header, packets) = self.cook(request)?;
-        Ok(frame(header, packets)?)
+        Ok(self.cook(request)?.1)
     }
 
     /// The one freshness rule: an entry cooked from store generation
@@ -315,11 +316,11 @@ impl Gateway {
 
     /// Cooks the store's current version of the requested document:
     /// scores the query through the version's SC tables, plans through
-    /// its layout for the request's LOD and codes the plan
-    /// ([`live::cook_plan`]). Returns its generation, header and `N`
-    /// cooked packets, all from the one version read, so they describe
+    /// its layout for the request's LOD and codes the plan straight into
+    /// a server's frames ([`live::cook_plan`]). Returns its generation
+    /// and the server, both from the one version read, so they describe
     /// one document.
-    fn cook(&self, request: &Request) -> Result<(u64, DocumentHeader, Vec<Vec<u8>>), GatewayError> {
+    fn cook(&self, request: &Request) -> Result<(u64, LiveServer), GatewayError> {
         let query = Query::parse(&request.query, self.store.pipeline());
         let version = self
             .store
@@ -327,15 +328,9 @@ impl Gateway {
             .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
         let sc = self.store.score(&version, &query);
         let (plan, payload) = version.plan(&sc, request.lod, request.measure);
-        let (header, packets) =
-            live::cook_plan(plan, &payload, request.packet_size, request.gamma)?;
-        Ok((version.generation, header, packets))
+        let live = live::cook_plan(plan, &payload, request.packet_size, request.gamma)?;
+        Ok((version.generation, live))
     }
-}
-
-/// Frames freshly cooked packets, every one of them held.
-fn frame(header: DocumentHeader, packets: Vec<Vec<u8>>) -> Result<LiveServer, ErasureError> {
-    LiveServer::from_cooked(header, packets.into_iter().map(Some).collect())
 }
 
 #[cfg(test)]

@@ -39,9 +39,7 @@
 pub mod adaptive;
 pub mod arq;
 pub mod broadcast;
-pub mod compress;
 pub mod error;
-pub mod intuition;
 pub mod live;
 pub mod plan;
 pub mod prefetch;

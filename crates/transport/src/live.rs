@@ -28,7 +28,7 @@ use mrtweb_content::sc::{Measure, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::ida::Codec;
-use mrtweb_erasure::packet::Frame;
+use mrtweb_erasure::packet::{seal_frame, Frame, FRAME_OVERHEAD, PAYLOAD_OFFSET};
 use mrtweb_erasure::redundancy::cooked_packets;
 use mrtweb_erasure::Error;
 use mrtweb_obs::{emit, EventKind};
@@ -55,8 +55,9 @@ pub struct DocumentHeader {
     pub plan: TransmissionPlan,
 }
 
-/// Cooks a document for transmission: plans it at `lod` ordered by
-/// `measure` ([`plan_document`]), then codes the plan ([`cook_plan`]).
+/// Cooks a document for transmission ([`LiveServer::new`]) and returns
+/// its header and the `N` cooked packets by sequence: the payloads of
+/// the server's frames.
 ///
 /// # Errors
 ///
@@ -69,15 +70,20 @@ pub fn cook(
     packet_size: usize,
     gamma: f64,
 ) -> Result<(DocumentHeader, Vec<Vec<u8>>), Error> {
-    let (plan, payload) = plan_document(doc, sc, lod, measure);
-    cook_plan(plan, &payload, packet_size, gamma)
+    let server = LiveServer::new(doc, sc, lod, measure, packet_size, gamma)?;
+    let packets = (0..server.header.n)
+        .filter_map(|i| server.payload(i))
+        .map(<[u8]>::to_vec)
+        .collect();
+    Ok((server.header, packets))
 }
 
 /// Codes a planned payload: sizes the code (`N` =
-/// [`cooked_packets`]`(M, gamma)`) and encodes the payload once.
-/// Returns the header and the `N` cooked packets by sequence — the one
-/// coder behind [`LiveServer::new`] and behind the edge cache's at-rest
-/// blob, so both carry the same bytes.
+/// [`cooked_packets`]`(M, gamma)`) and encodes the payload once,
+/// straight into the server's wire frames
+/// ([`Codec::encode_frames`]) — the one coder behind
+/// [`LiveServer::new`] and behind the edge cache's at-rest blob, which
+/// is written from the same frames' payloads.
 ///
 /// The encode is serial: at the paper shape (M = 40, N = 60, 256-byte
 /// packets) it takes 8–15 µs on a 2-vCPU Xeon VM, and fanning its rows
@@ -93,18 +99,14 @@ pub fn cook_plan(
     payload: &[u8],
     packet_size: usize,
     gamma: f64,
-) -> Result<(DocumentHeader, Vec<Vec<u8>>), Error> {
+) -> Result<LiveServer, Error> {
     let m = plan.raw_packets(packet_size);
     let n = cooked_packets(m, gamma);
     // Shared substrate: concurrent sessions serving the same (M, N)
     // shape reuse one systematic generator instead of re-deriving it.
     let codec = Codec::shared(m, n, packet_size)?;
-    let mut cooked = Vec::new();
-    codec.encode_into(payload, &mut cooked);
-    let packets = cooked
-        .chunks_exact(packet_size)
-        .map(<[u8]>::to_vec)
-        .collect();
+    let mut frames = Vec::new();
+    codec.encode_frames(payload, &mut frames);
     let header = DocumentHeader {
         doc_len: payload.len(),
         m,
@@ -112,7 +114,12 @@ pub fn cook_plan(
         packet_size,
         plan,
     };
-    Ok((header, packets))
+    Ok(LiveServer {
+        header,
+        frames,
+        held: std::array::from_fn(|i| i < n),
+        sealed: OnceLock::new(),
+    })
 }
 
 /// Progressive events the rendering manager consumes.
@@ -131,7 +138,8 @@ pub enum ClientEvent {
 
 /// The server side: owns the encoded document.
 ///
-/// All `N` cooked packets are encoded once ([`cook_plan`]), framed once
+/// All `N` cooked packets are encoded once, straight into their wire
+/// frames ([`cook_plan`]), or framed once from packets cooked earlier
 /// ([`LiveServer::from_cooked`]) and, for a server that puts them in a
 /// delivery envelope, sealed once ([`LiveServer::sealed`]), so
 /// retransmission rounds and repeat sessions replay cached wire bytes
@@ -139,12 +147,17 @@ pub enum ClientEvent {
 #[derive(Debug)]
 pub struct LiveServer {
     header: DocumentHeader,
-    /// Pre-framed wire bytes per cooked packet, index = sequence.
-    /// `None` marks a packet this server cannot serve (an edge cache
-    /// that trimmed parity, or a blob record that rotted at rest);
-    /// serving routes skip it and any `M` of the rest still suffice.
-    wire_frames: Vec<Option<Vec<u8>>>,
-    /// `wire_frames` in their delivery envelopes, built by the first
+    /// The `N` wire frames back to back, `packet_size + FRAME_OVERHEAD`
+    /// bytes apart: frame `i` (cooked packet `i`) starts at
+    /// `i · (packet_size + FRAME_OVERHEAD)`.
+    frames: Vec<u8>,
+    /// Whether the server can serve frame `i`, for each `i < N ≤ 256`
+    /// (one GF(2⁸) dispersal group). A packet it lacks (an edge cache
+    /// that trimmed parity, or a blob record that rotted at rest) has a
+    /// slot of zeros; serving routes skip it and any `M` of the rest
+    /// still suffice.
+    held: [bool; 256],
+    /// The held frames in their delivery envelopes, built by the first
     /// [`LiveServer::sealed`] call.
     sealed: OnceLock<Sealed>,
 }
@@ -170,7 +183,8 @@ impl Sealed {
 
 impl LiveServer {
     /// Prepares a document for transmission at `lod` ordered by
-    /// `measure`, with `gamma` redundancy.
+    /// `measure`, with `gamma` redundancy: plans it ([`plan_document`])
+    /// and codes the plan ([`cook_plan`]).
     ///
     /// # Errors
     ///
@@ -185,8 +199,8 @@ impl LiveServer {
         packet_size: usize,
         gamma: f64,
     ) -> Result<Self, Error> {
-        let (header, packets) = cook(doc, sc, lod, measure, packet_size, gamma)?;
-        LiveServer::from_cooked(header, packets.into_iter().map(Some).collect())
+        let (plan, payload) = plan_document(doc, sc, lod, measure);
+        cook_plan(plan, &payload, packet_size, gamma)
     }
 
     /// Like [`LiveServer::new`], but grows the packet size (from
@@ -211,24 +225,24 @@ impl LiveServer {
         while cooked_packets(plan.raw_packets(packet_size), gamma) > 256 {
             packet_size *= 2;
         }
-        let (header, packets) = cook_plan(plan, &payload, packet_size, gamma)?;
-        LiveServer::from_cooked(header, packets.into_iter().map(Some).collect())
+        cook_plan(plan, &payload, packet_size, gamma)
     }
 
-    /// Builds a server from already-cooked packets: the output of
-    /// [`cook_plan`], or an edge cache serving the at-rest dispersed blob. No
-    /// codec is constructed and no [`EventKind::EncodeSpan`] is emitted:
-    /// the packets were encoded exactly once when they were cooked, and
-    /// this path only frames them for the wire. `None` entries mark
-    /// packets the cache no longer holds intact (trimmed parity, at-rest
-    /// rot); the server skips those sequences and the client
-    /// reconstructs from any `M` of the rest.
+    /// Builds a server from already-cooked packets, such as an edge
+    /// cache serving the at-rest dispersed blob. No codec is constructed
+    /// and no [`EventKind::EncodeSpan`] is emitted: the packets were
+    /// encoded exactly once when they were cooked, and this path only
+    /// frames them for the wire, in the layout [`cook_plan`] encodes
+    /// into. `None` entries mark packets the cache no longer holds
+    /// intact (trimmed parity, at-rest rot); the server skips those
+    /// sequences and the client reconstructs from any `M` of the rest.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidParameters`] if `cooked.len() != header.n`, any
-    /// present packet is not exactly `header.packet_size` bytes, or
-    /// fewer than `header.m` packets are present.
+    /// [`Error::InvalidParameters`] if `cooked.len() != header.n`,
+    /// `header.n > 256`, any present packet is not exactly
+    /// `header.packet_size` bytes, or fewer than `header.m` packets are
+    /// present.
     pub fn from_cooked(
         header: DocumentHeader,
         cooked: Vec<Option<Vec<u8>>>,
@@ -237,7 +251,7 @@ impl LiveServer {
             raw: header.m,
             cooked: header.n,
         };
-        if cooked.len() != header.n || header.packet_size == 0 {
+        if cooked.len() != header.n || header.n > 256 || header.packet_size == 0 {
             return Err(invalid);
         }
         let present = cooked.iter().flatten().count();
@@ -254,14 +268,20 @@ impl LiveServer {
         {
             return Err(invalid);
         }
-        let wire_frames = cooked
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| payload.map(|p| Frame::new(i as u16, p).to_wire()))
-            .collect();
+        let stride = header.packet_size + FRAME_OVERHEAD;
+        let mut frames = vec![0; header.n * stride];
+        let mut held = [false; 256];
+        for (i, (slot, packet)) in frames.chunks_exact_mut(stride).zip(cooked).enumerate() {
+            if let Some(packet) = packet {
+                slot[PAYLOAD_OFFSET..][..packet.len()].copy_from_slice(&packet);
+                seal_frame(i as u16, slot);
+                held[i] = true;
+            }
+        }
         Ok(LiveServer {
             header,
-            wire_frames,
+            frames,
+            held,
             sealed: OnceLock::new(),
         })
     }
@@ -277,7 +297,7 @@ impl LiveServer {
     /// every serving route must tolerate a request index mangled in
     /// flight, so there is deliberately no panicking accessor.
     pub fn frame_bytes(&self, index: usize) -> Option<&[u8]> {
-        self.wire_frames.get(index).and_then(|f| f.as_deref())
+        self.frame_checked(index).ok()
     }
 
     /// Like [`LiveServer::frame_bytes`], but a failed lookup is typed —
@@ -291,15 +311,25 @@ impl LiveServer {
     /// if `index` is valid but the packet is not held — a sequence the
     /// serving loop skips.
     pub fn frame_checked(&self, index: usize) -> Result<&[u8], TransportError> {
-        let slot = self
-            .wire_frames
-            .get(index)
-            .ok_or(TransportError::FrameOutOfRange {
-                index,
-                n: self.header.n,
-            })?;
-        slot.as_deref()
+        let n = self.header.n;
+        if index >= n {
+            return Err(TransportError::FrameOutOfRange { index, n });
+        }
+        let stride = self.header.packet_size + FRAME_OVERHEAD;
+        self.frames
+            .get(index * stride..)
+            .and_then(|rest| rest.get(..stride))
+            .filter(|_| self.held[index])
             .ok_or(TransportError::FrameNotHeld { index })
+    }
+
+    /// Cooked packet `index`'s payload, borrowed from its frame — what
+    /// an edge cache stores at rest. `None` for a packet this server
+    /// does not hold and for an index `≥ N`.
+    pub fn payload(&self, index: usize) -> Option<&[u8]> {
+        self.frame_bytes(index)?
+            .get(PAYLOAD_OFFSET..)?
+            .get(..self.header.packet_size)
     }
 
     /// Every held frame sealed into its delivery envelope by `seal`,
@@ -316,12 +346,10 @@ impl LiveServer {
     pub fn sealed(&self, seal: fn(&mut Vec<u8>, &[u8])) -> &Sealed {
         self.sealed.get_or_init(|| {
             let mut bytes = Vec::new();
-            let spans = self
-                .wire_frames
-                .iter()
-                .map(|frame| {
+            let spans = (0..self.header.n)
+                .map(|i| {
                     let start = bytes.len();
-                    seal(&mut bytes, frame.as_deref()?);
+                    seal(&mut bytes, self.frame_bytes(i)?);
                     Some(start..bytes.len())
                 })
                 .collect();
@@ -897,6 +925,69 @@ mod tests {
             Err(TransportError::FrameOutOfRange { .. })
         ));
         assert!(srv.frame_checked(0).is_ok());
+    }
+
+    #[test]
+    fn strided_frames_match_frame_to_wire_at_every_packet_size() {
+        let (doc, sc) = fixture();
+        let (plan, payload) = plan_document(&doc, &sc, Lod::Paragraph, Measure::Qic);
+        let mut checked = 0;
+        for packet_size in 1..=300 {
+            let m = plan.raw_packets(packet_size);
+            let n = cooked_packets(m, 1.5);
+            if n > 256 {
+                continue; // more than one dispersal group
+            }
+            checked += 1;
+            // The oracle: per-packet encode, then one frame per packet.
+            let packets = Codec::new(m, n, packet_size).unwrap().encode(&payload);
+            let served = cook_plan(plan.clone(), &payload, packet_size, 1.5).unwrap();
+            // An edge entry with every third parity packet trimmed.
+            let kept: Vec<Option<Vec<u8>>> = packets
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (i < m || (i - m) % 3 != 0).then(|| p.clone()))
+                .collect();
+            let trimmed = LiveServer::from_cooked(served.header().clone(), kept.clone()).unwrap();
+            for (i, packet) in packets.iter().enumerate() {
+                let wire = Frame::new(i as u16, packet.clone()).to_wire();
+                assert_eq!(
+                    served.frame_bytes(i),
+                    Some(&wire[..]),
+                    "{packet_size} B, {i}"
+                );
+                assert_eq!(served.payload(i), Some(&packet[..]), "{packet_size} B, {i}");
+                if kept[i].is_some() {
+                    assert_eq!(trimmed.frame_checked(i).ok(), Some(&wire[..]));
+                } else {
+                    assert!(matches!(
+                        trimmed.frame_checked(i),
+                        Err(TransportError::FrameNotHeld { index }) if index == i
+                    ));
+                    assert_eq!(trimmed.payload(i), None);
+                }
+            }
+            for srv in [&served, &trimmed] {
+                assert!(matches!(
+                    srv.frame_checked(n),
+                    Err(TransportError::FrameOutOfRange { index, n: reported })
+                        if index == n && reported == n
+                ));
+            }
+        }
+        assert!(checked >= 290, "only {checked} packet sizes fit one group");
+    }
+
+    #[test]
+    fn from_cooked_refuses_more_than_one_dispersal_group() {
+        let (doc, sc) = fixture();
+        let (mut header, _) = cook(&doc, &sc, Lod::Paragraph, Measure::Qic, 32, 1.5).unwrap();
+        header.n = 257;
+        let packets = vec![Some(vec![0; 32]); 257];
+        assert!(matches!(
+            LiveServer::from_cooked(header, packets),
+            Err(Error::InvalidParameters { .. })
+        ));
     }
 
     static SEALS: AtomicUsize = AtomicUsize::new(0);
