@@ -274,6 +274,8 @@ stage_edge() {
     *"under_budget=true"*) ;;
     *) echo "edge eviction run exceeded its byte budget" >&2; return 1 ;;
   esac
+  echo "$evict_out" | grep -Eq 'evictions=[1-9]' \
+    || { echo "a 12 KiB budget over this corpus evicted nothing" >&2; return 1; }
   # Two-cell roaming handoff: cell B serves the resume from the one
   # migrated record, byte-identically, cheaper than a restart.
   target/release/mrtweb edge --roam --docs 3 | sed "s/^/    /"

@@ -65,14 +65,15 @@ pub enum EventKind {
     /// (any-M reconstruction or content-fraction LOD stop).
     /// `a` = listener id, `b` = slots listened since tune-in.
     EarlyStop = 21,
-    /// An edge-cache lookup served a cooked blob without re-encoding.
-    /// `a` = resident intact packets, `b` = m (data packets).
+    /// An edge-cache lookup served a cooked transmission without
+    /// re-encoding. `a` = n (cooked packets), `b` = m (data packets).
     EdgeHit = 22,
-    /// An edge-cache lookup missed (absent, or below M intact).
-    /// `a` = 1 if the entry existed but had decayed below M, else 0.
+    /// An edge-cache lookup missed (absent, or stale).
+    /// `a` = 1 if the entry existed but was cooked from another store
+    /// generation (the lookup dropped it), else 0.
     EdgeMiss = 23,
-    /// The edge cache freed bytes under its budget. `a` = bytes freed,
-    /// `b` = 0 parity trim, 1 whole-entry eviction.
+    /// The edge cache dropped a whole entry (over budget, stale, or
+    /// with a damaged at-rest blob). `a` = payload bytes freed, `b` = 1.
     EdgeEvict = 24,
     /// A migration record shipped a document between cells.
     /// `a` = record bytes on the backhaul, `b` = blob bytes inside it.

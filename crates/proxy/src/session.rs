@@ -336,11 +336,10 @@ impl Session {
 
 /// HELLO → prepared [`LiveServer`] and whether it was a cache hit, with
 /// gateway failures mapped to wire error codes. Served through the
-/// gateway's one cache: its edge cache when the base station has one
-/// attached (a hit re-frames the at-rest cooked blob with zero codec
-/// work), its in-memory prepared map otherwise. Concurrent and repeat
-/// sessions for one request shape replay a single encode while the
-/// store holds the document generation it was cooked from.
+/// gateway's one cache (memory-only, or a base station's disk-backed
+/// edge cache): concurrent and repeat sessions for one request shape
+/// share a single encode, and the envelopes it sealed, while the store
+/// holds the document generation it was cooked from.
 fn prepare(
     gateway: &Gateway,
     hello: &Hello,
@@ -359,7 +358,6 @@ fn prepare(
         GatewayError::BadRequest(_) | GatewayError::Encoding(_) => {
             (ErrorCode::BadRequest, format!("{e}"))
         }
-        GatewayError::Edge(_) => (ErrorCode::Internal, format!("{e}")),
     })
 }
 

@@ -900,7 +900,7 @@ mod tests {
         let cooked =
             LiveServer::from_cooked(header.clone(), packets.iter().cloned().map(Some).collect())
                 .unwrap();
-        // An edge-cache entry with every other parity packet trimmed.
+        // A server lacking every other parity packet.
         let trimmed = LiveServer::from_cooked(
             header,
             packets

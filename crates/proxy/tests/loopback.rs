@@ -498,17 +498,16 @@ fn half_open_client_hangup_ends_the_session_cleanly() {
     }
 }
 
-/// A cache hit whose parity was trimmed by the edge byte budget serves
-/// by skipping the missing frames: the session completes from the M
-/// clear-prefix packets instead of dying with a BadRequest — on both
-/// engines.
+/// A cache hit on an entry that lacks frames — admitted from a blob
+/// whose parity records fail their CRC-32 — serves by skipping the
+/// missing frames: the session completes from the M clear-prefix
+/// packets instead of dying with a BadRequest — on both engines.
 #[test]
-fn trimmed_edge_entry_serves_by_skipping_missing_frames() {
-    use mrtweb_store::edge::EdgeCache;
+fn edge_entry_lacking_parity_serves_by_skipping_missing_frames() {
+    use mrtweb_store::codec::write_blob;
+    use mrtweb_store::edge::{EdgeCache, EdgeKey};
+    use mrtweb_store::gateway::CACHE_BUDGET;
     let expected = reference_payload();
-    // The request shape's clear-prefix size: a budget of exactly
-    // m · packet_size admits the entry, then budget enforcement trims
-    // every parity packet.
     let o = options();
     let request = Request::from_options(
         &o.url,
@@ -519,13 +518,28 @@ fn trimmed_edge_entry_serves_by_skipping_missing_frames() {
         o.gamma,
     )
     .expect("request");
-    let header = Gateway::new(test_store(10_240))
+    let cooked = Gateway::new(test_store(10_240))
         .prepare(&request)
-        .expect("reference prepare")
-        .header()
-        .clone();
-    assert!(header.n > header.m, "fixture must have parity to trim");
-    let budget = header.m * header.packet_size;
+        .expect("reference prepare");
+    let header = cooked.header().clone();
+    assert!(header.n > header.m, "fixture must have parity to lack");
+    let packets: Vec<&[u8]> = (0..header.n)
+        .map(|i| cooked.payload(i).expect("a cook holds every packet"))
+        .collect();
+    let mut blob = write_blob(
+        header.m,
+        header.packet_size,
+        header.doc_len,
+        &[(header.doc_len, &packets)],
+    );
+    // Records follow the 29-byte blob header and the group's u32
+    // length, each a packet and its CRC-32: flip a bit of every parity
+    // packet.
+    let record = header.packet_size + 4;
+    for i in header.m..header.n {
+        blob[33 + i * record] ^= 1;
+    }
+    let key = EdgeKey::of(&request);
 
     for engine in engines() {
         let nanos = std::time::SystemTime::now()
@@ -533,30 +547,29 @@ fn trimmed_edge_entry_serves_by_skipping_missing_frames() {
             .expect("clock")
             .as_nanos();
         let dir = std::env::temp_dir().join(format!("mrtweb-loopback-edge-{engine:?}-{nanos}"));
-        let edge = Arc::new(EdgeCache::new(&dir, budget).expect("edge cache"));
+        let edge = Arc::new(EdgeCache::new(&dir, CACHE_BUDGET).expect("edge cache"));
+        assert!(edge
+            .admit(key.clone(), header.clone(), &blob)
+            .expect("admit"));
+        let held = edge.serve(&key, None).expect("admitted");
+        for i in 0..header.n {
+            assert_eq!(held.frame_bytes(i).is_some(), i < header.m, "frame {i}");
+        }
         let gateway = Gateway::new(test_store(10_240)).with_edge(Arc::clone(&edge));
         let server =
             bind_engine("127.0.0.1:0", gateway, ServerConfig::default(), engine).expect("bind");
         let addr = server.local_addr();
 
-        // Miss: cooks and admits; enforcement trims all parity.
-        let miss = fetch(addr, &options()).expect("miss fetch");
-        assert!(miss.completed, "engine {engine:?}");
-        let stats_after = edge.stats();
-        assert!(
-            stats_after.trimmed_packets > 0,
-            "budget must trim parity: {stats_after:?}"
-        );
-
-        // Hit: the resident entry has holes where the parity was; the
-        // serving loop must skip those sequences, not fail the session.
-        let hit = fetch(addr, &options()).expect("hit fetch with trimmed parity");
+        // Hit: the entry has holes where the parity was; the serving
+        // loop must skip those sequences, not fail the session.
+        let hit = fetch(addr, &options()).expect("hit fetch lacking parity");
         assert!(hit.completed, "engine {engine:?}");
         assert_eq!(hit.payload, expected, "engine {engine:?}");
-        assert_eq!(edge.stats().hits, 1, "engine {engine:?}");
+        let stats = edge.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0), "engine {engine:?}");
 
-        wait_for(&*server, "both sessions completing", |s| {
-            s.counter(COMPLETED) == 2
+        wait_for(&*server, "the session completing", |s| {
+            s.counter(COMPLETED) == 1
         });
         let snapshot = server.shutdown();
         assert_eq!(

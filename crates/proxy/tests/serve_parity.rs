@@ -28,8 +28,9 @@ use mrtweb_proxy::stats::{
     ACTIVE, COMPLETED, FAULTS_INJECTED, FRAMES_SENT, PROTOCOL_ERRORS, RETRANSMIT_REQUESTS,
 };
 use mrtweb_proxy::wire::{ErrorCode, Hello, Message};
-use mrtweb_store::edge::EdgeCache;
-use mrtweb_store::gateway::{Gateway, Request};
+use mrtweb_store::codec::write_blob;
+use mrtweb_store::edge::{EdgeCache, EdgeKey};
+use mrtweb_store::gateway::{Gateway, Request, CACHE_BUDGET};
 use mrtweb_store::store::DocumentStore;
 use mrtweb_transport::live::LiveServer;
 use mrtweb_transport::serve::{Action, Hop, Refusal, Rounds};
@@ -99,8 +100,8 @@ struct Case {
     /// Index into [`fault`].
     fault: usize,
     fault_seed: u64,
-    /// Serve from an edge-cache entry whose parity was trimmed.
-    trimmed: bool,
+    /// Serve from an edge-cache entry that lacks its parity frames.
+    gaps: bool,
     /// The peer's move after each round; DONE once they run out.
     turns: Vec<Turn>,
     /// Send DONE after this many frames of the round that follows the
@@ -115,7 +116,7 @@ impl Case {
             max_rounds: 8,
             fault: 0,
             fault_seed: 0,
-            trimmed: false,
+            gaps: false,
             turns,
             cut: None,
         }
@@ -159,18 +160,34 @@ fn digest(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A gateway over the shared corpus; with `trimmed`, its edge cache
-/// already holds the request's entry with every parity packet trimmed.
-fn gateway(trimmed: bool, tag: &str) -> (Gateway, Option<std::path::PathBuf>) {
+/// A gateway over the shared corpus; with `gaps`, its edge cache
+/// already holds the request's entry, admitted from a blob whose parity
+/// records fail their CRC-32, so it serves the `M` clear frames only.
+fn gateway(gaps: bool, tag: &str) -> (Gateway, Option<std::path::PathBuf>) {
     let gateway = Gateway::new(store());
-    if !trimmed {
+    if !gaps {
         return (gateway, None);
     }
-    let header = Gateway::new(store())
+    let cooked = Gateway::new(store())
         .prepare(&request())
-        .expect("reference prepare")
-        .header()
-        .clone();
+        .expect("reference prepare");
+    let header = cooked.header().clone();
+    let packets: Vec<&[u8]> = (0..header.n)
+        .map(|i| cooked.payload(i).expect("a cook holds every packet"))
+        .collect();
+    let mut blob = write_blob(
+        header.m,
+        header.packet_size,
+        header.doc_len,
+        &[(header.doc_len, &packets)],
+    );
+    // Records follow the 29-byte blob header and the group's u32
+    // length, each a packet and its CRC-32: flip a bit of every parity
+    // packet's stored CRC.
+    let record = header.packet_size + 4;
+    for i in header.m..header.n {
+        blob[33 + i * record + header.packet_size] ^= 1;
+    }
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .expect("clock")
@@ -179,21 +196,25 @@ fn gateway(trimmed: bool, tag: &str) -> (Gateway, Option<std::path::PathBuf>) {
         "mrtweb-serve-parity-{tag}-{}-{nanos}",
         std::process::id()
     ));
-    let edge = EdgeCache::new(&dir, header.m * header.packet_size).expect("edge cache");
-    let gateway = gateway.with_edge(Arc::new(edge));
-    // The miss cooks and admits; the byte budget then trims the parity.
-    gateway
-        .prepare_edge(&request())
-        .expect("prime the edge cache");
-    (gateway, Some(dir))
+    let edge = EdgeCache::new(&dir, CACHE_BUDGET).expect("edge cache");
+    let admitted = edge.admit(EdgeKey::of(&request()), header, &blob);
+    assert!(admitted.expect("admit"), "the entry fits the budget");
+    (gateway.with_edge(Arc::new(edge)), Some(dir))
 }
 
 /// The transmission every driver serves for `case`.
 fn served(case: &Case) -> Arc<LiveServer> {
-    let (gateway, dir) = gateway(case.trimmed, "oracle");
-    let (server, _) = gateway.prepare_edge(&request()).expect("prepare");
+    let (gateway, dir) = gateway(case.gaps, "oracle");
+    let (server, hit) = gateway.prepare_edge(&request()).expect("prepare");
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).ok();
+    }
+    if case.gaps {
+        let (m, n) = (server.header().m, server.header().n);
+        assert!(hit && n > m, "the entry serves, with parity to lack");
+        for i in 0..n {
+            assert_eq!(server.frame_bytes(i).is_some(), i < m, "frame {i}");
+        }
     }
     server
 }
@@ -292,7 +313,7 @@ fn play(addr: SocketAddr, case: &Case) -> (Vec<u64>, Closing) {
 
 /// Runs `case` through one engine on a fresh daemon.
 fn over_engine(engine: Engine, case: &Case, n: u64) -> Transcript {
-    let (gateway, dir) = gateway(case.trimmed, &format!("{engine:?}"));
+    let (gateway, dir) = gateway(case.gaps, &format!("{engine:?}"));
     let server = bind_engine("127.0.0.1:0", gateway, config(case, n), engine).expect("bind");
     let (frames, closing) = play(server.local_addr(), case);
     settle(&*server);
@@ -452,11 +473,11 @@ fn zero_rounds_gives_up_before_any_frame() {
 }
 
 #[test]
-fn trimmed_entry_skips_missing_frames_without_spending_budget() {
+fn entry_lacking_parity_skips_missing_frames_without_spending_budget() {
     let n = n();
     check(&Case {
         budget: 0,
-        trimmed: true,
+        gaps: true,
         ..Case::plain(vec![
             Turn::Request((0..n).rev().collect()),
             Turn::Request(vec![n - 1, n - 1, 0]),
@@ -487,12 +508,12 @@ fn case() -> impl Strategy<Value = Case> {
         prop_oneof![Just(None), Just(None), (1usize..40).prop_map(Some)],
     )
         .prop_map(
-            |((budget, max_rounds, fault, fault_seed), trimmed, turns, cut)| Case {
+            |((budget, max_rounds, fault, fault_seed), gaps, turns, cut)| Case {
                 budget,
                 max_rounds,
                 fault,
                 fault_seed,
-                trimmed,
+                gaps,
                 turns,
                 cut,
             },

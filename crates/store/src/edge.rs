@@ -1,23 +1,29 @@
-//! The edge cache: cooked dispersed blobs resident at the base station.
+//! The edge cache: cooked transmissions resident at the base station.
 //!
 //! The paper's base station (Figure 1) is where weakly-connected
 //! clients win or lose; this module keeps *cooked* transmissions there
-//! so a repeat request never touches the erasure codec. The at-rest
-//! format is the MRTB dispersed blob ([`crate::codec::encode_dispersed`])
-//! — encoding happens exactly once, at admission, and every later hit
-//! re-frames the stored cooked packets for the wire (zero
-//! `EncodeSpan`s by construction).
+//! so a repeat request never touches the erasure codec. An entry is one
+//! whole transmission, the [`LiveServer`] its cook built: all `N` wire
+//! frames, plus the envelopes it seals on first use
+//! ([`LiveServer::sealed`]). A hit hands out that `Arc`, so every
+//! session it serves shares one set of frames and envelopes and sends
+//! exactly what a cook would send.
 //!
 //! Structure:
 //!
-//! * **memory** — serve-ready cooked packets under a byte budget, in a
-//!   two-segment (probation/protected) LRU; eviction is planned by
-//!   [`crate::evict::plan_eviction`], which sheds low-IC parity first
-//!   and pins hot clear-text prefixes longest;
-//! * **disk** — the full blob, written temp-file-and-rename at
-//!   admission; a trimmed or flushed entry re-hydrates from it only
-//!   while the file still holds the packets admitted (their digest is
-//!   recorded in the entry), and is dropped otherwise;
+//! * **memory** — whole transmissions under a byte budget of payload
+//!   (`N · packet_size` per entry), in a two-segment (probation/protected)
+//!   LRU: an admission over the budget evicts whole entries, probation
+//!   before protected and least recently used first in each, so a sweep
+//!   of one-shot requests churns probation while re-referenced documents
+//!   stay; an admission whose transmission alone exceeds the budget is
+//!   refused;
+//! * **disk** (a cache opened on a directory, [`EdgeCache::new`]) — each
+//!   entry's MRTB blob ([`crate::codec::encode_dispersed`]'s layout),
+//!   written temp-file-and-rename at admission and removed with the
+//!   entry: the at-rest copy a migration ships, which leaves the cell
+//!   only while it still carries the packets admitted (their digest is
+//!   recorded in the entry);
 //! * **migration** — [`crate::migrate`] frames `(key, header, blob)`
 //!   into a CRC-guarded record another cell's cache admits verbatim,
 //!   the roaming path of Stanski et al.'s archive container.
@@ -25,25 +31,23 @@
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use mrtweb_content::sc::Measure;
 use mrtweb_docmodel::lod::Lod;
-use mrtweb_obs::clock::now_nanos;
-use mrtweb_obs::{emit, hist::Histogram, EventKind, Span};
-use mrtweb_transport::live::DocumentHeader;
+use mrtweb_obs::{emit, EventKind, Span};
+use mrtweb_transport::live::{DocumentHeader, LiveServer};
 
-use crate::codec::{BlobPackets, CodecError};
+use crate::codec::{write_blob, BlobPackets, CodecError};
 use crate::disk::fnv1a;
-use crate::evict::{plan_eviction, Action, Resident, Segment};
 use crate::gateway::Request;
 
-/// Everything that shapes a cached transmission: the key of the edge
-/// cache and of the gateway's in-memory prepared map, public so
-/// migration records can carry it between cells.
+/// Everything that shapes a cached transmission: the edge cache's key,
+/// public so migration records can carry it between cells.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeKey {
     /// Document URL.
@@ -121,124 +125,91 @@ impl From<CodecError> for EdgeError {
     }
 }
 
-/// A serve-ready cached transmission: the header plus the cooked
-/// packets still held intact (`None` = trimmed or rotted; any `M`
-/// present packets reconstruct). Feed it to
-/// [`mrtweb_transport::live::LiveServer::from_cooked`].
-#[derive(Debug, Clone)]
-pub struct EdgeServed {
-    /// The control-channel header, including the transmission plan.
-    pub header: DocumentHeader,
-    /// Cooked packet payloads by sequence index, length `n`.
-    pub packets: Vec<Option<Vec<u8>>>,
-    /// The store generation the blob was cooked from
-    /// ([`EdgeCache::admit_from_store`]), or `None` for entries the
-    /// edge holds authoritatively (a migrated blob from another cell).
-    /// The gateway compares it against the store's current generation
-    /// before honouring a hit, so a replaced or deleted document never
-    /// keeps serving from the cache.
-    pub origin: Option<u64>,
-}
-
 /// Point-in-time cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeStats {
-    /// Lookups served from resident or re-hydrated packets.
+    /// Lookups that served a cached transmission.
     pub hits: u64,
-    /// Lookups that found nothing servable.
+    /// Lookups that found no entry, or a stale one (cooked from another
+    /// store generation), which they dropped.
     pub misses: u64,
-    /// Whole entries evicted from memory and disk.
+    /// Whole entries dropped from memory and disk: over budget, stale,
+    /// or with an at-rest blob that is no longer the one admitted.
     pub evictions: u64,
-    /// Parity packets trimmed from memory (blob stays on disk).
-    pub trimmed_packets: u64,
     /// Migration records shipped out of this cell.
     pub migrations_out: u64,
     /// Migration records admitted from another cell.
     pub migrations_in: u64,
     /// Admissions that failed outright (cache-disk I/O, blob/header
-    /// disagreement) — the request still serves from the cooked blob,
-    /// only the cache copy is lost.
+    /// disagreement) — the request still serves from the cooked
+    /// transmission, only the cache copy is lost.
     pub admit_failures: u64,
-    /// Bytes currently resident in memory.
+    /// Payload bytes (`N · packet_size` per entry) resident in memory.
     pub resident_bytes: usize,
     /// Entries currently resident.
     pub entries: usize,
 }
 
-/// One resident entry: serve-ready packets in memory, full blob on disk.
+/// Which LRU segment an entry lives in; eviction empties probation
+/// before it touches protected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Segment {
+    /// Admitted and not yet hit.
+    Probation,
+    /// Hit at least once: survives scans.
+    Protected,
+}
+
+/// One resident transmission.
 #[derive(Debug)]
 struct Entry {
-    header: DocumentHeader,
-    /// Cooked packets by sequence; `None` = trimmed from memory or
-    /// rotted at rest. Indices `0..m` are the clear-text prefix.
-    packets: Vec<Option<Vec<u8>>>,
-    /// [`BlobPackets::digest`] of the blob as admitted: rehydration
-    /// and export accept the file on disk only while it still carries
-    /// exactly these packets.
+    server: Arc<LiveServer>,
+    /// [`BlobPackets::digest`] of the blob as admitted: export ships the
+    /// file on disk only while it still carries exactly these packets.
+    /// Unused by a memory-only cache.
     digest: u32,
-    /// Store generation the blob was cooked from; `None` = the edge
-    /// holds this entry authoritatively (migrated from another cell).
+    /// Store generation the transmission was cooked from; `None` = the
+    /// edge holds this entry authoritatively (migrated from another cell).
     origin: Option<u64>,
     segment: Segment,
     last_used: u64,
 }
 
-impl Entry {
-    fn resident_bytes(&self) -> usize {
-        self.packets.iter().flatten().map(Vec::len).sum()
-    }
-
-    fn resident_intact(&self) -> usize {
-        self.packets.iter().flatten().count()
-    }
-
-    fn as_resident(&self) -> Resident {
-        let ps = self.header.packet_size;
-        let clear = self.packets[..self.header.m.min(self.packets.len())]
-            .iter()
-            .flatten()
-            .count();
-        let parity = self.resident_intact() - clear;
-        Resident {
-            segment: self.segment,
-            last_used: self.last_used,
-            clear_bytes: clear * ps,
-            parity_bytes: parity * ps,
-            parity_packets: parity,
-            packet_size: ps,
-        }
-    }
+/// Payload bytes a transmission holds against the budget.
+fn payload_bytes(server: &LiveServer) -> usize {
+    let header = server.header();
+    header.n.saturating_mul(header.packet_size)
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<EdgeKey, Entry>,
+    /// Payload bytes of every entry, kept as entries come and go.
+    resident: usize,
     /// Monotone use tick driving the LRU ordering.
     tick: u64,
 }
 
-/// A bounded, disk-backed cache of cooked dispersed blobs.
+/// A bounded cache of cooked transmissions, memory-only or disk-backed.
 #[derive(Debug)]
 pub struct EdgeCache {
-    dir: PathBuf,
+    /// The blob directory; `None` for a memory-only cache.
+    dir: Option<PathBuf>,
     byte_budget: usize,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    trimmed_packets: AtomicU64,
     migrations_out: AtomicU64,
     migrations_in: AtomicU64,
     admit_failures: AtomicU64,
     /// Admissions started, numbering each one's temp file.
     admissions: AtomicU64,
-    /// Hit serve latency, lookup to serve-ready packets, nanoseconds.
-    hit_ns: Histogram,
 }
 
 impl EdgeCache {
-    /// Opens (creating if needed) a cache over `dir` with a resident
-    /// byte budget.
+    /// Opens (creating if needed) a disk-backed cache over `dir` with a
+    /// resident byte budget.
     ///
     /// # Errors
     ///
@@ -246,20 +217,28 @@ impl EdgeCache {
     pub fn new(dir: impl Into<PathBuf>, byte_budget: usize) -> Result<Self, EdgeError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(EdgeCache {
+        Ok(Self::with_dir(Some(dir), byte_budget))
+    }
+
+    /// A cache with no directory: its entries live in memory only and
+    /// none can migrate.
+    pub(crate) fn in_memory(byte_budget: usize) -> Self {
+        Self::with_dir(None, byte_budget)
+    }
+
+    fn with_dir(dir: Option<PathBuf>, byte_budget: usize) -> Self {
+        EdgeCache {
             dir,
             byte_budget,
             inner: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            trimmed_packets: AtomicU64::new(0),
             migrations_out: AtomicU64::new(0),
             migrations_in: AtomicU64::new(0),
             admit_failures: AtomicU64::new(0),
             admissions: AtomicU64::new(0),
-            hit_ns: Histogram::new(),
-        })
+        }
     }
 
     /// The resident byte budget.
@@ -268,17 +247,10 @@ impl EdgeCache {
         self.byte_budget
     }
 
-    /// The blob directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Bytes currently resident in memory.
+    /// Payload bytes currently resident in memory.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.entries.values().map(Entry::resident_bytes).sum()
+        self.inner.lock().resident
     }
 
     /// Whether `key` has a resident entry.
@@ -287,30 +259,21 @@ impl EdgeCache {
         self.inner.lock().entries.contains_key(key)
     }
 
-    /// Resident entry count.
+    /// The on-disk blob path for `key` (whether or not it exists yet),
+    /// or `None` for a memory-only cache — the fault harness rots bytes
+    /// through this.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The on-disk blob path for `key` (whether or not it exists yet) —
-    /// the fault harness rots bytes through this.
-    #[must_use]
-    pub fn blob_path(&self, key: &EdgeKey) -> PathBuf {
-        self.dir.join(key.file_name())
+    pub fn blob_path(&self, key: &EdgeKey) -> Option<PathBuf> {
+        self.dir.as_ref().map(|dir| dir.join(key.file_name()))
     }
 
     /// Point-in-time statistics.
     #[must_use]
     pub fn stats(&self) -> EdgeStats {
-        // ORDERING: monitoring counters — each total is independently
-        // exact; a torn snapshot only skews one report line.
+        let (resident_bytes, entries) = {
+            let inner = self.inner.lock();
+            (inner.resident, inner.entries.len())
+        };
         EdgeStats {
             // ORDERING: monitoring counters — each total is
             // independently exact; a torn snapshot only skews one
@@ -318,88 +281,50 @@ impl EdgeCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            trimmed_packets: self.trimmed_packets.load(Ordering::Relaxed),
             migrations_out: self.migrations_out.load(Ordering::Relaxed),
             migrations_in: self.migrations_in.load(Ordering::Relaxed),
             admit_failures: self.admit_failures.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes(),
-            entries: self.len(),
+            resident_bytes,
+            entries,
         }
     }
 
-    /// Hit serve-latency histogram (nanoseconds).
-    #[must_use]
-    pub fn hit_latency(&self) -> &Histogram {
-        &self.hit_ns
-    }
-
     /// Admits a cooked blob under `key`. The blob is validated against
-    /// `header`, written durably to disk, and its intact packets made
-    /// resident; the byte budget is then enforced (other entries trim
-    /// parity or leave memory, per [`crate::evict`]).
+    /// `header`, written durably to disk when the cache has a directory,
+    /// and served from then on by a [`LiveServer`] over its intact
+    /// records: a record whose CRC-32 fails is a frame the server does
+    /// not hold, and any `M` of the rest reconstruct. The byte budget is
+    /// then enforced by evicting whole entries.
     ///
     /// The entry carries no origin generation — the edge vouches for it
-    /// unconditionally (the roaming case). When the blob was cooked
-    /// from a document in this cell's store, use
-    /// [`EdgeCache::admit_from_store`] instead so replacement of that
-    /// document invalidates the cached blob.
+    /// unconditionally (the roaming case). A transmission cooked from
+    /// this cell's store goes through [`EdgeCache::admit_from_store`]
+    /// instead, so replacing that document invalidates it.
     ///
-    /// Returns `Ok(false)` — refused, nothing written — when the
-    /// clear-text prefix alone (`m · packet_size`) exceeds the whole
-    /// budget: such an entry could never serve from memory within it.
+    /// Returns `Ok(false)` — refused, nothing written — when the whole
+    /// transmission (`n · packet_size`) exceeds the budget: the cache
+    /// keeps or drops whole transmissions.
     ///
     /// # Errors
     ///
-    /// [`EdgeError::Codec`] if the blob does not parse or disagrees
-    /// with `header`; [`EdgeError::Io`] on disk failure.
+    /// [`EdgeError::Codec`] if the blob does not parse, disagrees with
+    /// `header` or holds fewer than `M` intact records; [`EdgeError::Io`]
+    /// on disk failure.
     pub fn admit(
         &self,
         key: EdgeKey,
         header: DocumentHeader,
         blob: &[u8],
     ) -> Result<bool, EdgeError> {
-        self.admit_with_origin(key, header, blob, None)
+        let admitted = self.admit_blob(key, header, blob);
+        self.tally(admitted)
     }
 
-    /// Like [`EdgeCache::admit`], but stamps the entry with the store
-    /// generation of the document the blob was cooked from. A later hit
-    /// is honoured only while the store still holds that exact
-    /// generation ([`EdgeServed::origin`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EdgeCache::admit`].
-    pub fn admit_from_store(
+    fn admit_blob(
         &self,
         key: EdgeKey,
         header: DocumentHeader,
         blob: &[u8],
-        generation: u64,
-    ) -> Result<bool, EdgeError> {
-        self.admit_with_origin(key, header, blob, Some(generation))
-    }
-
-    fn admit_with_origin(
-        &self,
-        key: EdgeKey,
-        header: DocumentHeader,
-        blob: &[u8],
-        origin: Option<u64>,
-    ) -> Result<bool, EdgeError> {
-        let admitted = self.try_admit(key, header, blob, origin);
-        if admitted.is_err() {
-            // ORDERING: monitoring tally only.
-            self.admit_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
-    }
-
-    fn try_admit(
-        &self,
-        key: EdgeKey,
-        header: DocumentHeader,
-        blob: &[u8],
-        origin: Option<u64>,
     ) -> Result<bool, EdgeError> {
         let view = BlobPackets::parse(blob)?;
         if !view.matches_header(&header) || header.plan.total_bytes() != header.doc_len {
@@ -407,176 +332,227 @@ impl EdgeCache {
                 "blob disagrees with transmission header",
             )));
         }
-        let clear_bytes = header.m.saturating_mul(header.packet_size);
-        if clear_bytes > self.byte_budget {
+        let packets = (0..view.n())
+            .map(|i| view.is_intact(0, i).then(|| view.packet(0, i).to_vec()))
+            .collect();
+        let server = LiveServer::from_cooked(header, packets)
+            .map_err(|_| CodecError("blob holds fewer than M intact packets"))?;
+        self.insert(key, Arc::new(server), None, Some(blob))
+    }
+
+    /// Admits a transmission just cooked from this cell's store, stamped
+    /// with the store generation it was cooked from: a later lookup
+    /// serves it only for a request that read that same generation
+    /// ([`EdgeCache::serve`]). A disk-backed cache writes its blob from
+    /// the server's payloads, with no second encode. Same refusal rule
+    /// as [`EdgeCache::admit`].
+    ///
+    /// # Errors
+    ///
+    /// [`EdgeError::Io`] on disk failure; [`EdgeError::Codec`] if a
+    /// disk-backed cache is handed a server that lacks a frame.
+    pub fn admit_from_store(
+        &self,
+        key: EdgeKey,
+        server: Arc<LiveServer>,
+        generation: u64,
+    ) -> Result<bool, EdgeError> {
+        let admitted = if self.dir.is_some() {
+            let header = server.header();
+            let packets: Option<Vec<&[u8]>> = (0..header.n).map(|i| server.payload(i)).collect();
+            match packets {
+                Some(packets) => {
+                    let blob = write_blob(
+                        header.m,
+                        header.packet_size,
+                        header.doc_len,
+                        &[(header.doc_len, &packets)],
+                    );
+                    self.insert(key, server, Some(generation), Some(&blob))
+                }
+                None => Err(EdgeError::Codec(CodecError("transmission lacks a frame"))),
+            }
+        } else {
+            self.insert(key, server, Some(generation), None)
+        };
+        self.tally(admitted)
+    }
+
+    /// Counts a failed admission.
+    fn tally(&self, admitted: Result<bool, EdgeError>) -> Result<bool, EdgeError> {
+        if admitted.is_err() {
+            // ORDERING: monitoring tally only.
+            self.admit_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        admitted
+    }
+
+    /// Makes `server` the entry for `key` — first writing `blob`, its
+    /// at-rest copy, when the cache has a directory — then evicts whole
+    /// entries until residency is back under the budget.
+    fn insert(
+        &self,
+        key: EdgeKey,
+        server: Arc<LiveServer>,
+        origin: Option<u64>,
+        blob: Option<&[u8]>,
+    ) -> Result<bool, EdgeError> {
+        let bytes = payload_bytes(&server);
+        if bytes > self.byte_budget {
             return Ok(false);
         }
-        let path = self.blob_path(&key);
-        // Each admission writes its own temp file, so two admissions
-        // of one key never interleave their bytes in a shared one.
-        // ORDERING: only uniqueness matters; no data travels with it.
-        let seq = self.admissions.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
-        {
+        let mut digest = 0;
+        let mut staged = None;
+        if let (Some(path), Some(blob)) = (self.blob_path(&key), blob) {
+            digest = BlobPackets::parse(blob)?.digest();
+            // Each admission writes its own temp file, so two admissions
+            // of one key never interleave their bytes in a shared one.
+            // ORDERING: only uniqueness matters; no data travels with it.
+            let seq = self.admissions.fetch_add(1, Ordering::Relaxed);
+            let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
             let mut f = fs::File::create(&tmp)?;
             f.write_all(blob)?;
             f.sync_all()?;
+            staged = Some((tmp, path));
         }
-        fs::rename(&tmp, &path)?;
-        let packets = hydrate(&view);
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some((tmp, path)) = staged {
+            // Renamed under the lock, as every eviction deletes under it,
+            // so the file on disk is always the blob of the entry the map
+            // holds.
+            if let Err(e) = fs::rename(&tmp, &path) {
+                drop(guard);
+                let _ = fs::remove_file(&tmp);
+                return Err(e.into());
+            }
+        }
         inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(
-            key,
-            Entry {
-                header,
-                packets,
-                digest: view.digest(),
-                origin,
-                segment: Segment::Probation,
-                last_used: tick,
-            },
-        );
-        self.enforce_budget(&mut inner);
+        let entry = Entry {
+            server,
+            digest,
+            origin,
+            segment: Segment::Probation,
+            last_used: inner.tick,
+        };
+        if let Some(old) = inner.entries.insert(key, entry) {
+            inner.resident -= payload_bytes(&old.server);
+        }
+        inner.resident += bytes;
+        while inner.resident > self.byte_budget {
+            let Some(victim) = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| (e.segment, e.last_used))
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.evict(inner, &victim);
+        }
         Ok(true)
     }
 
-    /// Looks `key` up and returns a serve-ready transmission, or `None`
-    /// on a miss. A hit touches the entry (probation → protected on
-    /// re-reference) and never invokes the erasure codec; if memory
-    /// holds fewer than `M` intact packets the entry re-hydrates from
-    /// its on-disk blob. A blob that is no longer the one admitted
-    /// (gone, rotted, or replaced by other bytes) drops the entry and
-    /// the lookup misses — the request falls back to the encode path.
-    #[must_use]
-    pub fn serve(&self, key: &EdgeKey) -> Option<EdgeServed> {
-        let t0 = now_nanos();
-        let span = Span::start(EventKind::EdgeServeSpan);
-        let mut inner = self.inner.lock();
-        let Some(entry) = inner.entries.get(key) else {
-            drop(inner);
-            // ORDERING: monitoring tally only.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            emit(EventKind::EdgeMiss, 0, 0);
-            span.end(0);
-            return None;
-        };
-        let m = entry.header.m;
-        if entry.resident_intact() < m {
-            // Trimmed or flushed below the any-M margin: re-hydrate
-            // from the at-rest blob. Disk I/O under the lock is the
-            // rare path (only after budget pressure or rot), and keeps
-            // the entry state transition atomic.
-            let rehydrated = self.read_blob(key, entry.digest).and_then(|blob| {
-                let view = BlobPackets::parse(&blob).ok()?;
-                // A CRC-32 digest is no cryptographic hash: a crafted
-                // file can match it, so keep admission's shape check.
-                view.matches_header(&entry.header).then(|| hydrate(&view))
-            });
-            let entry = inner
-                .entries
-                .get_mut(key)
-                .unwrap_or_else(|| unreachable!("entry held under the same lock"));
-            match rehydrated {
-                Some(packets) if packets.iter().flatten().count() >= m => {
-                    entry.packets = packets;
-                }
-                _ => {
-                    // The blob rotted, vanished or is not the one
-                    // admitted: the entry is unservable, so drop it.
-                    inner.entries.remove(key);
-                    drop(inner);
-                    // ORDERING: monitoring tally only.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    emit(EventKind::EdgeMiss, 1, 0);
-                    span.end(0);
-                    return None;
-                }
-            }
-            self.enforce_budget(&mut inner);
-            if !inner.entries.contains_key(key) {
-                // Budget pressure evicted the freshly re-hydrated entry
-                // (it was colder than everything else resident).
-                drop(inner);
-                // ORDERING: monitoring tally only.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                emit(EventKind::EdgeMiss, 1, 0);
-                span.end(0);
-                return None;
-            }
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner
-            .entries
-            .get_mut(key)
-            .unwrap_or_else(|| unreachable!("presence checked under the same lock"));
-        entry.last_used = tick;
-        entry.segment = Segment::Protected;
-        let served = EdgeServed {
-            header: entry.header.clone(),
-            packets: entry.packets.clone(),
-            origin: entry.origin,
-        };
-        let intact = entry.resident_intact() as u64;
-        drop(inner);
-        // ORDERING: monitoring tally only.
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        emit(EventKind::EdgeHit, intact, m as u64);
-        self.hit_ns.record(now_nanos().saturating_sub(t0));
-        span.end(1);
-        Some(served)
-    }
-
-    /// Drops every entry's packets from memory (blobs stay on disk), so
-    /// the next serve must re-hydrate — a deterministic way to exercise
-    /// the disk path in tests and the fault harness.
-    pub fn flush_resident(&self) {
-        let mut inner = self.inner.lock();
-        for entry in inner.entries.values_mut() {
-            for p in &mut entry.packets {
-                *p = None;
-            }
-        }
-    }
-
-    /// Removes `key` entirely (memory + disk), tallied like a budget
-    /// eviction.
-    pub fn remove(&self, key: &EdgeKey) {
-        let mut inner = self.inner.lock();
+    /// Drops `key`'s entry from memory and disk. Caller holds the lock:
+    /// a blob file is deleted only while the map still holds its entry,
+    /// so a concurrent admission's file is never lost.
+    fn evict(&self, inner: &mut Inner, key: &EdgeKey) {
         if let Some(entry) = inner.entries.remove(key) {
-            let freed = entry.resident_bytes();
-            drop(inner);
-            let _ = fs::remove_file(self.blob_path(key));
+            let freed = payload_bytes(&entry.server);
+            inner.resident -= freed;
+            if let Some(path) = self.blob_path(key) {
+                let _ = fs::remove_file(path);
+            }
             // ORDERING: monitoring tally only.
             self.evictions.fetch_add(1, Ordering::Relaxed);
             emit(EventKind::EdgeEvict, freed as u64, 1);
         }
     }
 
-    /// Reads the at-rest blob for `key`, with its header — the payload a
-    /// migration record ships to another cell. `None` if the entry is
-    /// gone or its file no longer holds the bytes admitted.
+    /// Looks `key` up for a request that read `generation` for its URL
+    /// from the store ([`crate::store::DocumentStore::generation`]) before
+    /// calling — never under this cache's lock. A hit touches the entry
+    /// (probation → protected on re-reference) and returns its
+    /// transmission with no codec work. An entry cooked from another
+    /// generation is stale: the lookup drops it, under the lock, and
+    /// misses, so the caller cooks the store's current version. Migrated
+    /// entries, which the edge holds authoritatively, serve whatever
+    /// `generation` says.
     #[must_use]
-    pub fn export_blob(&self, key: &EdgeKey) -> Option<(DocumentHeader, Vec<u8>)> {
-        let (header, digest) = {
-            let inner = self.inner.lock();
-            let entry = inner.entries.get(key)?;
-            (entry.header.clone(), entry.digest)
+    pub fn serve(&self, key: &EdgeKey, generation: Option<u64>) -> Option<Arc<LiveServer>> {
+        let span = Span::start(EventKind::EdgeServeSpan);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let lookup = match inner.entries.get_mut(key) {
+            Some(entry) if entry.origin.is_none_or(|g| Some(g) == generation) => {
+                inner.tick += 1;
+                entry.last_used = inner.tick;
+                entry.segment = Segment::Protected;
+                Ok(Arc::clone(&entry.server))
+            }
+            Some(_) => {
+                self.evict(inner, key);
+                Err(1)
+            }
+            None => Err(0),
         };
-        let blob = self.read_blob(key, digest)?;
-        // ORDERING: monitoring tally only.
-        self.migrations_out.fetch_add(1, Ordering::Relaxed);
-        Some((header, blob))
+        drop(guard);
+        match lookup {
+            Ok(server) => {
+                // ORDERING: monitoring tally only.
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                let header = server.header();
+                emit(EventKind::EdgeHit, header.n as u64, header.m as u64);
+                span.end(1);
+                Some(server)
+            }
+            Err(stale) => {
+                // ORDERING: monitoring tally only.
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                emit(EventKind::EdgeMiss, stale, 0);
+                span.end(0);
+                None
+            }
+        }
     }
 
-    /// The at-rest blob for `key`, or `None` if it is gone or does not
-    /// carry the packets admitted (`digest`): at-rest rot, a swapped
-    /// file or a colliding key's blob, whatever its shape.
-    fn read_blob(&self, key: &EdgeKey, digest: u32) -> Option<Vec<u8>> {
-        let blob = fs::read(self.blob_path(key)).ok()?;
-        (BlobPackets::parse(&blob).ok()?.digest() == digest).then_some(blob)
+    /// Reads the at-rest blob for `key`, with its header — the payload a
+    /// migration record ships to another cell. `None` for a memory-only
+    /// cache and for an absent entry. A blob that no longer carries the
+    /// packets admitted or no longer fits the header (at-rest rot, a
+    /// swapped file, a colliding key's blob) never leaves the cell: the
+    /// entry is dropped, so the next request cooks and writes a sound
+    /// copy.
+    #[must_use]
+    pub fn export_blob(&self, key: &EdgeKey) -> Option<(DocumentHeader, Vec<u8>)> {
+        let path = self.blob_path(key)?;
+        let (server, digest) = {
+            let inner = self.inner.lock();
+            let entry = inner.entries.get(key)?;
+            (Arc::clone(&entry.server), entry.digest)
+        };
+        let header = server.header();
+        // A CRC-32 digest is no cryptographic hash: a crafted file can
+        // match it, so keep admission's shape check too.
+        let sound = fs::read(&path).ok().filter(|blob| {
+            BlobPackets::parse(blob).is_ok_and(|v| v.digest() == digest && v.matches_header(header))
+        });
+        let Some(blob) = sound else {
+            let mut inner = self.inner.lock();
+            // Only the entry whose blob was read: a concurrent admission
+            // may have replaced it, file and all.
+            if inner
+                .entries
+                .get(key)
+                .is_some_and(|e| Arc::ptr_eq(&e.server, &server))
+            {
+                self.evict(&mut inner, key);
+            }
+            return None;
+        };
+        // ORDERING: monitoring tally only.
+        self.migrations_out.fetch_add(1, Ordering::Relaxed);
+        Some((header.clone(), blob))
     }
 
     /// Admits a blob that arrived in a migration record from another
@@ -598,64 +574,6 @@ impl EdgeCache {
         }
         Ok(admitted)
     }
-
-    /// Brings residency back under the byte budget by applying the
-    /// planner's actions: parity trims first, whole evictions last.
-    /// Caller holds the lock.
-    fn enforce_budget(&self, inner: &mut Inner) {
-        let resident: usize = inner.entries.values().map(Entry::resident_bytes).sum();
-        if resident <= self.byte_budget {
-            return;
-        }
-        let excess = resident - self.byte_budget;
-        let keys: Vec<EdgeKey> = inner.entries.keys().cloned().collect();
-        let snapshot: Vec<Resident> = keys
-            .iter()
-            .map(|k| inner.entries[k].as_resident())
-            .collect();
-        for action in plan_eviction(&snapshot, excess) {
-            match action {
-                Action::TrimParity { victim, packets } => {
-                    let Some(entry) = inner.entries.get_mut(&keys[victim]) else {
-                        continue;
-                    };
-                    let m = entry.header.m;
-                    let mut left = packets;
-                    let mut freed = 0usize;
-                    for slot in entry.packets.iter_mut().skip(m).rev() {
-                        if left == 0 {
-                            break;
-                        }
-                        if let Some(p) = slot.take() {
-                            freed += p.len();
-                            left -= 1;
-                        }
-                    }
-                    let trimmed = (packets - left) as u64;
-                    // ORDERING: monitoring tally only.
-                    self.trimmed_packets.fetch_add(trimmed, Ordering::Relaxed);
-                    emit(EventKind::EdgeEvict, freed as u64, 0);
-                }
-                Action::Evict { victim } => {
-                    if let Some(entry) = inner.entries.remove(&keys[victim]) {
-                        let freed = entry.resident_bytes();
-                        let _ = fs::remove_file(self.blob_path(&keys[victim]));
-                        // ORDERING: monitoring tally only.
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        emit(EventKind::EdgeEvict, freed as u64, 1);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Extracts the intact cooked packets of a (single-group) blob view;
-/// rotted records come back `None`.
-fn hydrate(view: &BlobPackets<'_>) -> Vec<Option<Vec<u8>>> {
-    (0..view.n())
-        .map(|i| view.is_intact(0, i).then(|| view.packet(0, i).to_vec()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -665,7 +583,6 @@ mod tests {
     use mrtweb_content::sc::StructuralCharacteristic;
     use mrtweb_docmodel::document::Document;
     use mrtweb_erasure::redundancy::cooked_packets;
-    use mrtweb_transport::live::LiveServer;
     use mrtweb_transport::plan::plan_document;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -713,20 +630,33 @@ mod tests {
         (key, header, blob)
     }
 
+    /// `key` with another URL: a distinct entry of the same shape.
+    fn at(key: &EdgeKey, i: usize) -> EdgeKey {
+        EdgeKey {
+            url: format!("http://cell/{i}"),
+            ..key.clone()
+        }
+    }
+
+    fn whole(header: &DocumentHeader) -> usize {
+        header.n * header.packet_size
+    }
+
     #[test]
     fn admit_then_serve_round_trips_packets() {
         let dir = temp_dir("roundtrip");
         let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
         let (key, header, blob) = fixture(64, 1.5);
         assert!(cache.admit(key.clone(), header.clone(), &blob).unwrap());
-        let served = cache.serve(&key).unwrap();
-        assert_eq!(served.header, header);
-        assert_eq!(served.packets.len(), header.n);
-        assert!(served.packets.iter().all(Option::is_some));
-        let srv = LiveServer::from_cooked(served.header, served.packets).unwrap();
-        assert_eq!(srv.header().m, header.m);
+        let served = cache.serve(&key, None).unwrap();
+        assert_eq!(served.header(), &header);
+        let view = BlobPackets::parse(&blob).unwrap();
+        for i in 0..header.n {
+            assert_eq!(served.payload(i), Some(view.packet(0, i)), "packet {i}");
+        }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
+        assert_eq!(stats.resident_bytes, whole(&header));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -735,7 +665,7 @@ mod tests {
         let dir = temp_dir("miss");
         let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
         let (key, ..) = fixture(64, 1.5);
-        assert!(cache.serve(&key).is_none());
+        assert!(cache.serve(&key, None).is_none());
         assert_eq!(cache.stats().misses, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -744,93 +674,134 @@ mod tests {
     fn budget_is_enforced_after_every_admission() {
         let dir = temp_dir("budget");
         let (key, header, blob) = fixture(64, 1.5);
-        let budget = header.m * header.packet_size + header.packet_size;
-        let cache = EdgeCache::new(&dir, budget).unwrap();
-        for i in 0..4 {
-            let k = EdgeKey {
-                url: format!("http://cell/{i}"),
-                ..key.clone()
-            };
-            assert!(cache.admit(k, header.clone(), &blob).unwrap());
-            assert!(
-                cache.resident_bytes() <= budget,
-                "resident {} over budget {budget}",
-                cache.resident_bytes()
-            );
+        let budget = whole(&header) + header.packet_size;
+        for cache in [
+            EdgeCache::new(&dir, budget).unwrap(),
+            EdgeCache::in_memory(budget),
+        ] {
+            for i in 0..4 {
+                assert!(cache.admit(at(&key, i), header.clone(), &blob).unwrap());
+                assert!(
+                    cache.resident_bytes() <= budget,
+                    "resident {} over budget {budget}",
+                    cache.resident_bytes()
+                );
+            }
+            assert_eq!(cache.stats().evictions, 3);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn clear_prefix_larger_than_budget_is_refused() {
+    fn transmission_larger_than_budget_is_refused() {
         let dir = temp_dir("refuse");
         let (key, header, blob) = fixture(64, 1.5);
-        let cache = EdgeCache::new(&dir, header.m * header.packet_size - 1).unwrap();
+        let cache = EdgeCache::new(&dir, whole(&header) - 1).unwrap();
         assert!(!cache.admit(key.clone(), header, &blob).unwrap());
         assert!(!cache.contains(&key));
-        assert!(!cache.blob_path(&key).exists());
+        assert!(!cache.blob_path(&key).unwrap().exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn trimmed_entry_rehydrates_from_disk() {
-        let dir = temp_dir("rehydrate");
-        let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
+    fn eviction_takes_probation_lru_before_protected_lru() {
         let (key, header, blob) = fixture(64, 1.5);
-        cache.admit(key.clone(), header.clone(), &blob).unwrap();
-        cache.flush_resident();
-        let served = cache.serve(&key).unwrap();
-        assert_eq!(served.packets.iter().flatten().count(), header.n);
-        fs::remove_dir_all(&dir).unwrap();
+        let cache = EdgeCache::in_memory(3 * whole(&header));
+        let resident = |cache: &EdgeCache| -> Vec<bool> {
+            (0..5).map(|i| cache.contains(&at(&key, i))).collect()
+        };
+        for i in 0..3 {
+            cache.admit(at(&key, i), header.clone(), &blob).unwrap();
+        }
+        // 0 and 1 are re-referenced (protected); 2 is not.
+        assert!(cache.serve(&at(&key, 0), None).is_some());
+        assert!(cache.serve(&at(&key, 1), None).is_some());
+        cache.admit(at(&key, 3), header.clone(), &blob).unwrap();
+        assert_eq!(resident(&cache), [true, true, false, true, false]);
+        // The least recently used probation entry goes first.
+        cache.admit(at(&key, 4), header.clone(), &blob).unwrap();
+        assert_eq!(resident(&cache), [true, true, false, false, true]);
+        // With every other entry protected, a newcomer is all probation
+        // holds, so a scan of one-shot requests cannot push out
+        // re-referenced documents.
+        assert!(cache.serve(&at(&key, 4), None).is_some());
+        let server = LiveServer::from_cooked(header.clone(), decoded(&blob)).unwrap();
+        assert!(cache
+            .admit_from_store(at(&key, 9), Arc::new(server), 1)
+            .unwrap());
+        assert!(!cache.contains(&at(&key, 9)));
+        assert_eq!(resident(&cache), [true, true, false, false, true]);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.evictions, stats.resident_bytes),
+            (3, 3 * whole(&header))
+        );
     }
 
     #[test]
-    fn rotted_blob_below_m_becomes_a_reported_miss() {
-        let dir = temp_dir("rot");
+    fn stale_entries_are_dropped_by_the_lookup() {
+        let dir = temp_dir("stale");
         let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
         let (key, header, blob) = fixture(64, 1.5);
-        cache.admit(key.clone(), header, &blob).unwrap();
-        // Truncate the at-rest blob so it cannot parse at all.
-        fs::write(cache.blob_path(&key), b"MRTB").unwrap();
-        cache.flush_resident();
-        assert!(cache.serve(&key).is_none());
+        let server = Arc::new(LiveServer::from_cooked(header, decoded(&blob)).unwrap());
+        cache
+            .admit_from_store(key.clone(), Arc::clone(&server), 7)
+            .unwrap();
+        let hit = cache.serve(&key, Some(7)).unwrap();
+        assert!(
+            Arc::ptr_eq(&hit, &server),
+            "a hit shares the admitted server"
+        );
+        assert!(cache.serve(&key, Some(8)).is_none(), "another generation");
         assert!(!cache.contains(&key));
+        assert!(!cache.blob_path(&key).unwrap().exists());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 1));
+        assert_eq!(stats.resident_bytes, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every cooked packet of a sound blob, by index.
+    fn decoded(blob: &[u8]) -> Vec<Option<Vec<u8>>> {
+        let view = BlobPackets::parse(blob).unwrap();
+        (0..view.n())
+            .map(|i| Some(view.packet(0, i).to_vec()))
+            .collect()
+    }
+
     #[test]
-    fn rehydration_rejects_a_blob_that_disagrees_with_the_header() {
-        // Blob filenames are a 64-bit hash: a collision (or any swapped
-        // file) can put a differently-shaped blob under this entry's
-        // name. Rehydration must cross-check the header, like admission
-        // does, and treat the mismatch as at-rest rot.
-        let dir = temp_dir("swap");
+    fn records_that_fail_their_crc_are_frames_the_entry_lacks() {
+        let dir = temp_dir("rotted-records");
         let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
-        let (key, header, _) = fixture(64, 1.5);
-        let (_, other_header, other_blob) = fixture(32, 1.5);
-        assert_ne!(header.packet_size, other_header.packet_size);
-        let (_, _, blob) = fixture(64, 1.5);
-        cache.admit(key.clone(), header, &blob).unwrap();
-        // Swap in a valid blob of the wrong shape, then force the disk
-        // path.
-        fs::write(cache.blob_path(&key), &other_blob).unwrap();
-        cache.flush_resident();
-        assert!(cache.serve(&key).is_none());
-        assert!(!cache.contains(&key));
+        let (key, header, mut blob) = fixture(64, 1.5);
+        // Flip one byte of every parity packet (29-byte blob header,
+        // 4-byte group length, then records of packet + CRC-32).
+        let record = header.packet_size + 4;
+        for i in header.m..header.n {
+            blob[33 + i * record] ^= 1;
+        }
+        assert!(cache.admit(key.clone(), header.clone(), &blob).unwrap());
+        let served = cache.serve(&key, None).unwrap();
+        for i in 0..header.n {
+            assert_eq!(served.frame_bytes(i).is_some(), i < header.m, "frame {i}");
+        }
+        // Below M intact records the blob is refused outright.
+        blob[33] ^= 1;
+        assert!(matches!(
+            cache.admit(at(&key, 1), header, &blob),
+            Err(EdgeError::Codec(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn rehydration_rejects_a_same_shape_blob_of_other_bytes() {
-        // A blob of the right shape but other bytes (a swapped file, a
-        // colliding key, two admissions of one key racing their
-        // renames) passes every header check; only the admitted blob's
-        // digest tells it apart. Serving it would hand out foreign
-        // packets under this entry's header and generation.
-        let dir = temp_dir("foreign");
+    fn export_ships_only_the_blob_admitted() {
+        let dir = temp_dir("export");
         let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
         let (key, header, blob) = fixture(64, 1.5);
-        cache.admit(key.clone(), header.clone(), &blob).unwrap();
+        let (_, _, other_shape) = fixture(32, 1.5);
+        // Same shape, other bytes: passes every header check; only the
+        // digest of the packets admitted tells it apart.
         let foreign: Vec<u8> = crate::codec::decode_dispersed(&blob)
             .unwrap()
             .iter()
@@ -838,29 +809,42 @@ mod tests {
             .collect();
         let foreign = encode_dispersed(&foreign, header.m, header.n, header.packet_size).unwrap();
         assert_eq!(foreign.len(), blob.len());
-        assert_ne!(foreign, blob);
-        fs::write(cache.blob_path(&key), &foreign).unwrap();
-        cache.flush_resident();
-        assert!(cache.serve(&key).is_none(), "served foreign packets");
-        assert!(!cache.contains(&key));
+        let mut flipped = blob.clone();
+        flipped[33] ^= 1;
+        // What the file holds after the damage; `None` = deleted.
+        let damage: [(&str, Option<&[u8]>); 5] = [
+            ("truncated", Some(b"MRTB")),
+            ("gone", None),
+            ("other shape", Some(&other_shape)),
+            ("foreign bytes", Some(&foreign)),
+            ("one flipped byte", Some(&flipped)),
+        ];
+        for (what, rotted) in damage {
+            assert!(cache.admit(key.clone(), header.clone(), &blob).unwrap());
+            let path = cache.blob_path(&key).unwrap();
+            match rotted {
+                Some(bytes) => fs::write(&path, bytes).unwrap(),
+                None => fs::remove_file(&path).unwrap(),
+            }
+            assert!(cache.export_blob(&key).is_none(), "exported a {what} blob");
+            assert!(!cache.contains(&key), "kept the entry of a {what} blob");
+            assert!(!path.exists(), "{what}");
+        }
+        assert_eq!(cache.stats().migrations_out, 0);
+        cache.admit(key.clone(), header.clone(), &blob).unwrap();
+        assert_eq!(cache.export_blob(&key), Some((header, blob)));
+        assert_eq!(cache.stats().migrations_out, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn export_refuses_a_blob_that_is_not_the_one_admitted() {
-        let dir = temp_dir("export-foreign");
-        let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
+    fn a_memory_only_cache_writes_nothing_and_exports_nothing() {
         let (key, header, blob) = fixture(64, 1.5);
-        cache.admit(key.clone(), header, &blob).unwrap();
-        // Flip the first byte of the first packet (33-byte header: the
-        // 29-byte blob header plus the group's length).
-        let mut rotted = blob.clone();
-        rotted[33] ^= 1;
-        fs::write(cache.blob_path(&key), &rotted).unwrap();
+        let cache = EdgeCache::in_memory(1 << 20);
+        assert!(cache.admit(key.clone(), header, &blob).unwrap());
+        assert!(cache.blob_path(&key).is_none());
+        assert!(cache.serve(&key, None).is_some());
         assert!(cache.export_blob(&key).is_none());
-        fs::write(cache.blob_path(&key), &blob).unwrap();
-        assert_eq!(cache.export_blob(&key).map(|(_, b)| b), Some(blob));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -882,22 +866,14 @@ mod tests {
     fn admission_over_budget_evicts_the_older_entry() {
         let dir = temp_dir("drain");
         let (key, header, blob) = fixture(64, 1.5);
-        let budget = header.m * header.packet_size;
-        let cache = EdgeCache::new(&dir, budget).unwrap();
-        let k1 = EdgeKey {
-            url: "http://cell/1".into(),
-            ..key.clone()
-        };
-        let k2 = EdgeKey {
-            url: "http://cell/2".into(),
-            ..key
-        };
+        let cache = EdgeCache::new(&dir, whole(&header)).unwrap();
+        let (k1, k2) = (at(&key, 1), at(&key, 2));
         cache.admit(k1.clone(), header.clone(), &blob).unwrap();
         cache.admit(k2.clone(), header, &blob).unwrap();
-        // Budget fits one clear prefix: admitting k2 evicted k1.
+        // Budget fits one transmission: admitting k2 evicted k1.
         assert!(!cache.contains(&k1));
         assert!(cache.contains(&k2));
-        assert!(!cache.blob_path(&k1).exists());
+        assert!(!cache.blob_path(&k1).unwrap().exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -912,9 +888,12 @@ mod tests {
         let (h, exported) = a.export_blob(&key).unwrap();
         assert_eq!(exported, blob);
         assert!(b.admit_migrated(key.clone(), h, &exported).unwrap());
-        let sa = a.serve(&key).unwrap();
-        let sb = b.serve(&key).unwrap();
-        assert_eq!(sa.packets, sb.packets);
+        let sa = a.serve(&key, None).unwrap();
+        let sb = b.serve(&key, None).unwrap();
+        assert_eq!(sa.header(), sb.header());
+        for i in 0..=sa.header().n {
+            assert_eq!(sa.frame_bytes(i), sb.frame_bytes(i), "frame {i}");
+        }
         assert_eq!(a.stats().migrations_out, 1);
         assert_eq!(b.stats().migrations_in, 1);
         fs::remove_dir_all(&dir_a).unwrap();

@@ -8,9 +8,7 @@
 //! it and hands back a ready [`LiveServer`], plus the plan metadata a
 //! sequence manager needs.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mrtweb_content::query::Query;
 use mrtweb_content::sc::Measure;
@@ -18,8 +16,7 @@ use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::Error as ErasureError;
 use mrtweb_transport::live::{self, LiveServer};
 
-use crate::codec::write_blob;
-use crate::edge::{EdgeCache, EdgeError, EdgeKey};
+use crate::edge::{EdgeCache, EdgeKey};
 use crate::store::DocumentStore;
 
 /// A transmission request.
@@ -108,8 +105,6 @@ pub enum GatewayError {
     Encoding(ErasureError),
     /// The request options do not parse or validate.
     BadRequest(String),
-    /// The edge cache failed (disk or blob validation).
-    Edge(EdgeError),
 }
 
 impl std::fmt::Display for GatewayError {
@@ -118,7 +113,6 @@ impl std::fmt::Display for GatewayError {
             GatewayError::NotFound(u) => write!(f, "document not found: {u:?}"),
             GatewayError::Encoding(e) => write!(f, "cannot encode transmission: {e}"),
             GatewayError::BadRequest(what) => write!(f, "bad request: {what}"),
-            GatewayError::Edge(e) => write!(f, "{e}"),
         }
     }
 }
@@ -131,58 +125,43 @@ impl From<ErasureError> for GatewayError {
     }
 }
 
-impl From<EdgeError> for GatewayError {
-    fn from(e: EdgeError) -> Self {
-        GatewayError::Edge(e)
-    }
-}
-
-/// Bound on distinct request shapes the in-memory prepared map keeps.
-const PREPARED_CACHE_CAP: usize = 64;
-
-/// A prepared transmission and the store generation it was cooked from.
-type PreparedEntry = (u64, Arc<LiveServer>);
+/// Payload bytes (`N · packet_size` per transmission) the cache of a
+/// [`Gateway::new`] holds: 66 transmissions of 62 256-byte packets, the
+/// benchmark's shape.
+pub const CACHE_BUDGET: usize = 1 << 20;
 
 /// The serving side of the prototype.
 ///
-/// Each gateway keeps one cache of cooked transmissions, keyed by
-/// [`EdgeKey`]: the attached [`EdgeCache`] when it fronts a cell,
-/// otherwise a bounded in-memory map. Either way an entry cooked from
-/// the store is served only while the store still holds the document
-/// generation it was cooked from.
+/// Each gateway keeps one cache of cooked transmissions, an
+/// [`EdgeCache`] keyed by [`EdgeKey`]: memory-only, unless a base
+/// station attaches its disk-backed one. An entry cooked from the store
+/// is served only while the store still holds the document generation
+/// it was cooked from.
 #[derive(Debug)]
 pub struct Gateway {
     store: Arc<DocumentStore>,
-    /// Prepared transmissions shared across concurrent sessions when no
-    /// edge cache is attached: the cooked frames for a request shape
-    /// are immutable, so every session fetching the same document with
-    /// the same parameters replays one encode instead of redoing
-    /// slicing, ranking, and GF(2⁸) math per session.
-    prepared: Mutex<HashMap<EdgeKey, PreparedEntry>>,
-    prepared_hits: AtomicU64,
-    prepared_misses: AtomicU64,
-    /// The base station's disk-backed cache of cooked blobs, when this
-    /// gateway fronts a cell; it replaces the prepared map.
-    edge: Option<Arc<EdgeCache>>,
+    /// The cooked transmissions, shared across concurrent sessions: the
+    /// frames for a request shape are immutable, so every session
+    /// fetching the same document with the same parameters replays one
+    /// encode instead of redoing slicing, ranking, and GF(2⁸) math.
+    cache: Arc<EdgeCache>,
 }
 
 impl Gateway {
-    /// Wraps a store.
+    /// Wraps a store, with a memory-only cache of [`CACHE_BUDGET`]
+    /// bytes.
     pub fn new(store: Arc<DocumentStore>) -> Self {
         Gateway {
             store,
-            prepared: Mutex::new(HashMap::new()),
-            prepared_hits: AtomicU64::new(0),
-            prepared_misses: AtomicU64::new(0),
-            edge: None,
+            cache: Arc::new(EdgeCache::in_memory(CACHE_BUDGET)),
         }
     }
 
-    /// Attaches an edge cache: [`Gateway::prepare_edge`] will serve
-    /// cooked blobs from it instead of the in-memory prepared map.
+    /// Swaps in a base station's disk-backed edge cache, whose entries
+    /// can migrate to another cell ([`EdgeCache::export_blob`]).
     #[must_use]
     pub fn with_edge(mut self, edge: Arc<EdgeCache>) -> Self {
-        self.edge = Some(edge);
+        self.cache = edge;
         self
     }
 
@@ -191,108 +170,47 @@ impl Gateway {
         &self.store
     }
 
-    /// `(hits, misses)` of the in-memory prepared map (the edge cache
-    /// keeps its own, [`EdgeCache::stats`]).
+    /// `(hits, misses)` of the gateway's cache ([`EdgeCache::stats`]).
     pub fn prepared_cache_counters(&self) -> (u64, u64) {
-        (
-            // ORDERING: monitoring counters — each total is independently
-            // exact; a torn (hits, misses) pair only skews one snapshot.
-            self.prepared_hits.load(Ordering::Relaxed),
-            self.prepared_misses.load(Ordering::Relaxed),
-        )
+        let stats = self.cache.stats();
+        (stats.hits, stats.misses)
     }
 
     /// Prepares a transmission through the gateway's cache: repeat
     /// requests for one `(url, query, lod, measure, packet size, γ)`
-    /// reuse one cooked transmission. Returns the server and whether it
-    /// was a cache hit.
-    ///
-    /// With an edge cache attached, a hit re-frames the cached cooked
-    /// blob with **zero** erasure-codec work (no `EncodeSpan`), and a
-    /// miss cooks once, admits the blob and serves from the same
-    /// packets. Without one, the in-memory prepared map shares one
-    /// `Arc<LiveServer>` across sessions.
+    /// share one cooked transmission, with **zero** erasure-codec work
+    /// (no `EncodeSpan`) and the envelopes it sealed for the first hit.
+    /// Returns the server and whether it was a cache hit.
     ///
     /// A hit is honoured only while the store still holds the document
     /// generation the entry was cooked from — replacing or deleting the
     /// document invalidates it (migrated edge entries, which the edge
-    /// holds authoritatively, always serve). Edge admission failures
-    /// never fail the request: the response serves from the packets
-    /// just cooked and the failure is only tallied.
+    /// holds authoritatively, always serve). A miss cooks once and
+    /// admits the transmission; admission failures never fail the
+    /// request: the response serves from the transmission just cooked
+    /// and the failure is only tallied.
     ///
     /// # Errors
     ///
     /// Same as [`Gateway::prepare`].
     pub fn prepare_edge(&self, request: &Request) -> Result<(Arc<LiveServer>, bool), GatewayError> {
         let key = EdgeKey::of(request);
-        let Some(edge) = &self.edge else {
-            return self.prepare_in_memory(key, request);
-        };
-        if let Some(served) = edge.serve(&key) {
-            // Migrated from another cell (`origin` None): the edge copy
-            // is the authority (the roaming client's held packets came
-            // from these very bytes).
-            if served.origin.is_none_or(|g| self.is_fresh(&request.url, g)) {
-                let live = LiveServer::from_cooked(served.header, served.packets)?;
-                return Ok((Arc::new(live), true));
-            }
-            // The document behind the blob was replaced or deleted:
-            // drop the stale entry and cook from the store's current
-            // state.
-            edge.remove(&key);
+        // Read before the cache lock is taken, never under it: the
+        // lookup drops an entry cooked from any other generation.
+        let generation = self.store.generation(&request.url);
+        if let Some(server) = self.cache.serve(&key, generation) {
+            return Ok((server, true));
         }
         let (generation, live) = self.cook(request)?;
-        let header = live.header();
-        let packets: Vec<&[u8]> = (0..header.n).filter_map(|i| live.payload(i)).collect();
-        let blob = write_blob(
-            header.m,
-            header.packet_size,
-            header.doc_len,
-            &[(header.doc_len, &packets)],
-        );
-        // Admission may be refused (clear prefix alone over budget) or
-        // fail outright on the cache's own disk — either way the
-        // response still serves from the packets just cooked; only the
-        // cache copy is lost. The cache tallies failures
-        // (`EdgeStats::admit_failures`).
-        let _ = edge.admit_from_store(key, header.clone(), &blob, generation);
-        Ok((Arc::new(live), false))
-    }
-
-    /// [`Gateway::prepare_edge`] without an edge cache: the bounded
-    /// in-memory prepared map.
-    fn prepare_in_memory(
-        &self,
-        key: EdgeKey,
-        request: &Request,
-    ) -> Result<(Arc<LiveServer>, bool), GatewayError> {
-        let cached = self
-            .prepared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .cloned();
-        if let Some((_, live)) = cached.filter(|(g, _)| self.is_fresh(&request.url, *g)) {
-            // ORDERING: pure tally — the cached value travels via the
-            // `prepared` mutex, not through this counter.
-            self.prepared_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((live, true));
-        }
-        let (generation, live) = self.cook(request)?;
-        // ORDERING: same monitoring tally as the hit counter above.
-        self.prepared_misses.fetch_add(1, Ordering::Relaxed);
         let live = Arc::new(live);
-        let mut map = self
-            .prepared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if map.len() >= PREPARED_CACHE_CAP && !map.contains_key(&key) {
-            // Shapes beyond the cap are rare (a hostile client cycling
-            // parameters); dropping the whole map is simpler than LRU
-            // and keeps the common small-corpus case untouched.
-            map.clear();
-        }
-        map.insert(key, (generation, Arc::clone(&live)));
+        // Admission may be refused (the transmission alone over budget)
+        // or fail on the cache's own disk — either way the response
+        // still serves from the transmission just cooked; only the cache
+        // copy is lost. The cache tallies failures
+        // (`EdgeStats::admit_failures`).
+        let _ = self
+            .cache
+            .admit_from_store(key, Arc::clone(&live), generation);
         Ok((live, false))
     }
 
@@ -305,13 +223,6 @@ impl Gateway {
     /// cooked packets at the requested packet size.
     pub fn prepare(&self, request: &Request) -> Result<LiveServer, GatewayError> {
         Ok(self.cook(request)?.1)
-    }
-
-    /// The one freshness rule: an entry cooked from store generation
-    /// `generation` may serve `url` only while the store still holds
-    /// that generation there.
-    fn is_fresh(&self, url: &str, generation: u64) -> bool {
-        self.store.generation(url) == Some(generation)
     }
 
     /// Cooks the store's current version of the requested document:
@@ -476,7 +387,7 @@ mod tests {
 
     fn transfer_text(srv: Arc<LiveServer>) -> String {
         let report = run_transfer(
-            Arc::try_unwrap(srv).unwrap(),
+            srv,
             &TransferConfig {
                 alpha: 0.0,
                 ..Default::default()
@@ -617,19 +528,50 @@ mod tests {
             .store()
             .structural_characteristic(&req.url, &query)
             .is_none());
-        assert_eq!(gw.prepared_cache_counters(), (1, 1));
+        // The lookup that found the removed document's entry dropped it
+        // and missed.
+        assert_eq!(gw.prepared_cache_counters(), (1, 2));
     }
 
     #[test]
-    fn edge_gateway_keeps_no_prepared_map() {
-        let (dir, _edge, gw) = edge_gateway("one-cache");
+    fn hits_share_one_server_and_stale_lookups_count_as_misses() {
+        let (dir, edge, at_edge) = edge_gateway("share");
+        let plain = gateway();
         let req = Request {
             packet_size: 32,
             ..Request::new("http://site/paper", "mobile wireless")
         };
-        assert!(!gw.prepare_edge(&req).unwrap().1);
-        assert!(gw.prepare_edge(&req).unwrap().1, "the edge cache hits");
-        assert_eq!(gw.prepared_cache_counters(), (0, 0));
+        for (gw, cache) in [(&at_edge, &*edge), (&plain, &*plain.cache)] {
+            let (miss, hit) = gw.prepare_edge(&req).unwrap();
+            assert!(!hit);
+            let (first, hit) = gw.prepare_edge(&req).unwrap();
+            assert!(hit);
+            let (second, hit) = gw.prepare_edge(&req).unwrap();
+            assert!(hit);
+            assert!(
+                Arc::ptr_eq(&miss, &first) && Arc::ptr_eq(&first, &second),
+                "hits share the server the miss cooked"
+            );
+            gw.store().put(
+                "http://site/paper",
+                Document::parse_xml(
+                    "<document><title>Paper v2</title>\
+                     <section><title>New</title>\
+                     <paragraph>mobile wireless replacement content</paragraph></section>\
+                     </document>",
+                )
+                .unwrap(),
+            );
+            let (fresh, hit) = gw.prepare_edge(&req).unwrap();
+            assert!(!hit && !Arc::ptr_eq(&fresh, &first));
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses),
+                (2, 2),
+                "the stale lookup missed"
+            );
+            assert_eq!(gw.prepared_cache_counters(), (stats.hits, stats.misses));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -22,10 +22,10 @@
 //! * [`air`] — lifts a dispersed blob into an on-air
 //!   [`mrtweb_transport::broadcast::BroadcastDoc`] with zero decode or
 //!   re-encode (the blob's records *are* the carousel's frames);
-//! * [`edge`] — the base station's bounded, disk-backed cache of
-//!   cooked blobs: hits re-frame stored packets with zero codec work;
-//! * [`evict`] — the cache's IC-aware eviction planner (trim low-IC
-//!   parity first, pin hot clear-text prefixes, segmented LRU);
+//! * [`edge`] — the gateway's one cache of cooked transmissions, whole
+//!   ones under a byte budget in a segmented LRU, memory-only or (at a
+//!   base station) disk-backed: a hit shares the cooked server with zero
+//!   codec work;
 //! * [`migrate`] — the CRC-framed cell-to-cell migration record that
 //!   lets a document roam with its user.
 
@@ -35,7 +35,6 @@ pub mod air;
 pub mod codec;
 pub mod disk;
 pub mod edge;
-pub mod evict;
 pub mod gateway;
 pub mod migrate;
 pub mod store;

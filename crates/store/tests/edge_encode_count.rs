@@ -48,7 +48,7 @@ fn edge_hit_skips_the_codec_and_matches_the_miss_bytes() {
         .iter()
         .filter(|e| e.kind == EventKind::EncodeSpan)
         .count();
-    assert_eq!(encodes, 1, "one document, one encode — hits re-frame");
+    assert_eq!(encodes, 1, "one document, one encode — a hit shares it");
 
     // A hit serves byte-identical frames to the miss that cooked it.
     assert_eq!(miss_srv.header(), hit_srv.header());
@@ -58,7 +58,7 @@ fn edge_hit_skips_the_codec_and_matches_the_miss_bytes() {
 
     // And the hit transfers the same document end to end.
     let report = run_transfer(
-        Arc::try_unwrap(hit_srv).unwrap(),
+        hit_srv,
         &TransferConfig {
             alpha: 0.2,
             seed: 7,

@@ -1,11 +1,12 @@
 //! The gateway's prepare paths agree byte for byte, and its one
 //! freshness rule holds under concurrent puts.
 //!
-//! `Gateway::prepare`, `prepare_edge` on a plain gateway (the in-memory
-//! prepared map) and `prepare_edge` on an edge gateway (a miss that
-//! cooks and admits a blob, then a hit that re-frames it) must all hand
-//! out the same header and the same wire frames, and the blob the edge
-//! wrote must be exactly `encode_dispersed` of the planned payload.
+//! `Gateway::prepare`, `prepare_edge` on a plain gateway (its
+//! memory-only cache) and `prepare_edge` on an edge gateway (a miss that
+//! cooks and admits a blob, then a hit) must all hand out the same
+//! header and the same wire frames — at any cache budget — and the blob
+//! the edge wrote must be exactly `encode_dispersed` of the planned
+//! payload.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use mrtweb_docmodel::gen::SyntheticDocSpec;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_store::codec::encode_dispersed;
 use mrtweb_store::edge::{EdgeCache, EdgeKey};
-use mrtweb_store::gateway::{Gateway, GatewayError, Request};
+use mrtweb_store::gateway::{Gateway, GatewayError, Request, CACHE_BUDGET};
 use mrtweb_store::store::DocumentStore;
 use mrtweb_transport::live::{DocumentHeader, LiveClient, LiveServer};
 use mrtweb_transport::plan::plan_document;
@@ -149,6 +150,70 @@ fn every_prepare_path_serves_the_same_bytes() {
         "{too_large} of {} shapes over one group",
         requests.len()
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn hits_under_budget_pressure_serve_whole_transmissions() {
+    let dir = temp_dir("pressure");
+    let store = Arc::new(DocumentStore::new(8));
+    let url = "http://site/large";
+    let large = SyntheticDocSpec {
+        sections: 6,
+        target_bytes: 100_000,
+        ..Default::default()
+    };
+    store.put(url, large.generate(5).document);
+    let shapes: Vec<Request> = [Lod::Paragraph, Lod::Section]
+        .into_iter()
+        .flat_map(|lod| {
+            [4096, 8192, 16384].map(|packet_size| Request {
+                lod,
+                packet_size,
+                gamma: 2.0,
+                ..Request::new(url, "mobile wireless")
+            })
+        })
+        .collect();
+    let references: Vec<LiveServer> = shapes
+        .iter()
+        .map(|r| Gateway::new(Arc::clone(&store)).prepare(r).unwrap())
+        .collect();
+    // The budget holds every shape's clear prefix, not every whole
+    // transmission: a cache that sheds parity to stay under it would
+    // keep them all, minus the frames a cook sends.
+    let bytes = |packets: fn(&LiveServer) -> usize| -> usize {
+        references
+            .iter()
+            .map(|s| packets(s) * s.header().packet_size)
+            .sum()
+    };
+    let (clear, whole) = (bytes(|s| s.header().m), bytes(|s| s.header().n));
+    assert!(
+        clear <= CACHE_BUDGET && whole > CACHE_BUDGET,
+        "{clear} / {whole}"
+    );
+
+    let plain = Gateway::new(Arc::clone(&store));
+    let edge = Arc::new(EdgeCache::new(&dir, CACHE_BUDGET).unwrap());
+    let at_edge = Gateway::new(Arc::clone(&store)).with_edge(Arc::clone(&edge));
+    for (what, gateway) in [("memory-only", &plain), ("disk-backed", &at_edge)] {
+        let mut hits = 0;
+        for round in 0..3 {
+            // Round-robin, each shape twice in a row: the reload hits
+            // while its entry is resident.
+            for (request, reference) in shapes.iter().zip(&references) {
+                for _ in 0..2 {
+                    let (server, hit) = gateway.prepare_edge(request).unwrap();
+                    let case = format!("{what} round {round} {request:?} hit={hit}");
+                    assert_same_transmission(&case, reference, &server);
+                    hits += usize::from(hit);
+                }
+            }
+        }
+        assert!(hits > 0, "{what}: no request hit");
+    }
+    assert!(edge.resident_bytes() <= CACHE_BUDGET);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,8 +1,8 @@
 //! Property tests for the edge cache and the migration codec: the byte
 //! budget holds over arbitrary admission sequences, whatever the cache
-//! serves reconstructs the admitted payload exactly (resident or
-//! rehydrated from disk), and migration records round-trip while every
-//! hostile mutation is rejected without a panic.
+//! serves reconstructs the admitted payload exactly, and migration
+//! records round-trip while every hostile mutation is rejected without a
+//! panic.
 
 use proptest::prelude::*;
 
@@ -11,7 +11,7 @@ use mrtweb_docmodel::lod::Lod;
 use mrtweb_store::codec::encode_dispersed;
 use mrtweb_store::edge::{EdgeCache, EdgeKey};
 use mrtweb_store::migrate::{decode_record, encode_record, MigrationRecord};
-use mrtweb_transport::live::{DocumentHeader, LiveClient, LiveServer};
+use mrtweb_transport::live::{DocumentHeader, LiveClient};
 use mrtweb_transport::plan::{TransmissionPlan, UnitSlice};
 
 /// A scratch directory unique to this process and call site.
@@ -61,8 +61,7 @@ fn entry(
 
 /// Reconstructs the payload from whatever the cache serves for `key`.
 fn reconstruct(cache: &EdgeCache, key: &EdgeKey) -> Option<Vec<u8>> {
-    let hit = cache.serve(key)?;
-    let server = LiveServer::from_cooked(hit.header, hit.packets).ok()?;
+    let server = cache.serve(key, None)?;
     let mut client = LiveClient::new(server.header().clone()).ok()?;
     for f in 0..server.header().n {
         if client.document_bytes().is_some() {
@@ -105,16 +104,14 @@ proptest! {
                 budget, i, cache.resident_bytes()
             );
             if !admitted {
-                prop_assert!(cache.serve(&key).is_none());
+                prop_assert!(cache.serve(&key, None).is_none());
             }
         }
         prop_assert!(cache.resident_bytes() <= budget);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A hit reconstructs the admitted payload byte-identically — both
-    /// straight from residency and after a flush forces rehydration
-    /// from disk (the cold-serve path a miss would have produced).
+    /// A hit reconstructs the admitted payload byte-identically.
     #[test]
     fn hit_reconstructs_admitted_payload(s in shape(), idx in any::<u64>()) {
         let (len, ps, gamma) = s;
@@ -122,8 +119,6 @@ proptest! {
         let cache = EdgeCache::new(&dir, 1 << 22).unwrap();
         let (key, header, blob, payload) = entry(idx, len, ps, gamma);
         prop_assert!(cache.admit(key.clone(), header, &blob).unwrap());
-        prop_assert_eq!(reconstruct(&cache, &key).as_deref(), Some(&payload[..]));
-        cache.flush_resident();
         prop_assert_eq!(reconstruct(&cache, &key).as_deref(), Some(&payload[..]));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -27,7 +27,7 @@ pub enum Error {
         n: usize,
     },
     /// A valid index `0..N` whose packet this server does not hold —
-    /// an edge cache trimmed the parity or the at-rest record rotted.
+    /// its blob record rotted at rest before an edge cache admitted it.
     /// Serving routes skip the sequence (the client reconstructs from
     /// any `M` of the rest); it is not a peer violation.
     FrameNotHeld {

@@ -152,10 +152,10 @@ pub struct LiveServer {
     /// `i · (packet_size + FRAME_OVERHEAD)`.
     frames: Vec<u8>,
     /// Whether the server can serve frame `i`, for each `i < N ≤ 256`
-    /// (one GF(2⁸) dispersal group). A packet it lacks (an edge cache
-    /// that trimmed parity, or a blob record that rotted at rest) has a
-    /// slot of zeros; serving routes skip it and any `M` of the rest
-    /// still suffice.
+    /// (one GF(2⁸) dispersal group). A packet it lacks (a blob record
+    /// that rotted at rest before an edge cache admitted it) has a slot
+    /// of zeros; serving routes skip it and any `M` of the rest still
+    /// suffice.
     held: [bool; 256],
     /// The held frames in their delivery envelopes, built by the first
     /// [`LiveServer::sealed`] call.
@@ -233,8 +233,8 @@ impl LiveServer {
     /// and no [`EventKind::EncodeSpan`] is emitted: the packets were
     /// encoded exactly once when they were cooked, and this path only
     /// frames them for the wire, in the layout [`cook_plan`] encodes
-    /// into. `None` entries mark packets the cache no longer holds
-    /// intact (trimmed parity, at-rest rot); the server skips those
+    /// into. `None` entries mark packets that are not held intact (a
+    /// blob record that rotted at rest); the server skips those
     /// sequences and the client reconstructs from any `M` of the rest.
     ///
     /// # Errors
@@ -302,7 +302,7 @@ impl LiveServer {
 
     /// Like [`LiveServer::frame_bytes`], but a failed lookup is typed —
     /// for servers that must tell a peer violation apart from a packet
-    /// this server legitimately lacks (a trimmed edge-cache entry).
+    /// this server legitimately lacks (a record that rotted at rest).
     ///
     /// # Errors
     ///
@@ -558,7 +558,8 @@ impl Default for TransferConfig {
 }
 
 /// Runs a full transfer: the server on its own thread pushing frames
-/// through a corrupting link, the client on the calling thread.
+/// through a corrupting link, the client on the calling thread. The
+/// server may be one a cache shares (`Arc<LiveServer>`).
 ///
 /// The header travels on the reliable control channel (modelled by
 /// cloning it to the client before the lossy data stream starts), as a
@@ -570,9 +571,10 @@ impl Default for TransferConfig {
 /// codec; [`TransportError::ServerPanicked`] if the server thread dies
 /// mid-transfer.
 pub fn run_transfer(
-    server: LiveServer,
+    server: impl Into<Arc<LiveServer>>,
     config: &TransferConfig,
 ) -> Result<TransferReport, TransportError> {
+    let server = server.into();
     // A rendezvous channel models a link with no in-flight buffering:
     // the server hands over one delivery at a time, so a "stop" takes
     // effect after at most one further frame. Zero capacity also makes
@@ -594,7 +596,7 @@ pub fn run_transfer(
     let fault = config.fault.clone().unwrap_or_else(FaultConfig::clean);
     let mut hop = Hop::new(FaultyLink::new(link, fault, config.seed ^ 2));
     // In-process transfers carry session id 0 and no frame budget.
-    let mut rounds = Rounds::new(Arc::new(server), 0, u64::MAX, config.max_rounds);
+    let mut rounds = Rounds::new(server, 0, u64::MAX, config.max_rounds);
 
     // The thread hands back its counters and the fault scheduler's
     // trace, so a failing schedule can be replayed exactly.
@@ -907,9 +909,9 @@ mod tests {
 
     #[test]
     fn not_held_frames_are_distinct_from_out_of_range() {
-        // A from_cooked server with a trimmed parity packet — the shape
-        // an edge cache serves after budget pressure. The hole must be
-        // a skippable FrameNotHeld, not the peer-violation error.
+        // A from_cooked server lacking a parity packet — the shape an
+        // edge cache serves from a blob whose record rotted. The hole
+        // must be a skippable FrameNotHeld, not the peer-violation error.
         let (doc, sc) = fixture();
         let (header, cooked) = cook(&doc, &sc, Lod::Paragraph, Measure::Qic, 32, 1.5).unwrap();
         let n = header.n;
@@ -942,7 +944,7 @@ mod tests {
             // The oracle: per-packet encode, then one frame per packet.
             let packets = Codec::new(m, n, packet_size).unwrap().encode(&payload);
             let served = cook_plan(plan.clone(), &payload, packet_size, 1.5).unwrap();
-            // An edge entry with every third parity packet trimmed.
+            // A server lacking every third parity packet.
             let kept: Vec<Option<Vec<u8>>> = packets
                 .iter()
                 .enumerate()

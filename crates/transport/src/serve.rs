@@ -18,9 +18,9 @@
 //!
 //! The checks run in one order. The round budget is checked when a
 //! round would start. Then, for each requested index: out of range is a
-//! [`Refusal`]; a frame the server does not hold (a trimmed edge-cache
-//! entry) is skipped and costs no frame budget; a spent frame budget is
-//! a [`Refusal`].
+//! [`Refusal`]; a frame the server does not hold (a record that rotted
+//! at rest) is skipped and costs no frame budget; a spent frame budget
+//! is a [`Refusal`].
 
 use std::sync::Arc;
 

@@ -3,8 +3,9 @@
 //! Loads the `mrtbench` `cold` corpus (64 generated documents drawn
 //! from one seed) into a store, then calls `prepare_edge` with a fresh
 //! three-word QIC query each time, at paragraph LOD with 256-byte
-//! packets and γ = 1.5, so every call misses the prepared map and
-//! cooks: SC, plan, encode, frame. The first call on each document
+//! packets and γ = 1.5, so every call misses the gateway's cache,
+//! cooks (SC, plan, encode, frame) and admits the transmission, which
+//! past the cache's budget evicts one. The first call on each document
 //! (which also builds that version's cook tables) is timed on its own,
 //! by the clock; then batches of calls are timed, and the per-call CPU
 //! time of the batches is printed as median [q1, q3].
@@ -127,6 +128,6 @@ fn main() {
     println!("seed {seed}: first call per document {first:.1} µs (wall clock)");
     println!(
         "seed {seed}: cold prepare_edge miss {median:.1} [{q1:.1}, {q3:.1}] µs of CPU per call \
-         ({batches} batches of {CALLS_PER_BATCH}; {hits} prepared-map hits)"
+         ({batches} batches of {CALLS_PER_BATCH}; {hits} cache hits)"
     );
 }

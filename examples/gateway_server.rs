@@ -1,6 +1,6 @@
 //! The full server side of Figure 1: documents persisted in a
 //! database-gateway store, transmissions prepared on request (a repeat
-//! request served from the gateway's prepared-transmission cache), and
+//! request served from the gateway's cache of cooked transmissions), and
 //! delivered to a live client over a lossy link.
 //!
 //! ```sh
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (_, second_hit) = gateway.prepare_edge(&request)?;
     let (hits, misses) = gateway.prepared_cache_counters();
     assert!(!first_hit && second_hit && (hits, misses) == (1, 1));
-    println!("prepared-transmission cache: {hits} hits, {misses} misses");
+    println!("gateway cache: {hits} hits, {misses} misses");
 
     std::fs::remove_dir_all(&dir).ok();
     Ok(())

@@ -38,7 +38,7 @@ use mrtweb::prelude::CacheMode;
 use mrtweb::proxy::client::{fetch, fetch_stats, FetchOptions};
 use mrtweb::proxy::loadgen::{self, ArrivalMode, LoadConfig};
 use mrtweb::proxy::server::{bind_engine, Engine, ServerConfig};
-use mrtweb::store::gateway::Gateway;
+use mrtweb::store::gateway::{Gateway, CACHE_BUDGET};
 use mrtweb::store::store::DocumentStore;
 use mrtweb::textproc::pipeline::ScPipeline;
 use mrtweb::textproc::summary::lead_in_summary;
@@ -139,7 +139,7 @@ impl Default for Flags {
             scenario: String::new(),
             all: false,
             list: false,
-            byte_budget: 1 << 20,
+            byte_budget: CACHE_BUDGET,
             roam: false,
             addr: "127.0.0.1:7340".to_owned(),
             corpus: 4,

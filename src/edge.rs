@@ -2,10 +2,11 @@
 //!
 //! Wires the whole stack into the cell architecture the paper's
 //! Figure 1 implies: a [`mrtweb_store::gateway::Gateway`] fronting each
-//! base station keeps cooked MRTB dispersed blobs in a bounded,
-//! disk-backed [`mrtweb_store::edge::EdgeCache`], so a repeat request
-//! re-frames stored packets instead of re-running the slicer, the
-//! ranker, and the GF(2⁸) codec. Two drivers:
+//! base station keeps cooked transmissions, with their MRTB dispersed
+//! blobs at rest, in a bounded, disk-backed
+//! [`mrtweb_store::edge::EdgeCache`], so a repeat request shares the
+//! cooked server instead of re-running the slicer, the ranker, and the
+//! GF(2⁸) codec. Two drivers:
 //!
 //! * [`run`] — one cell under a request stream: measures cache-hit vs
 //!   encode-on-miss latency and proves the zero-re-encode claim (the
@@ -30,7 +31,7 @@ use mrtweb_docmodel::lod::Lod;
 use mrtweb_obs::clock::now_nanos;
 use mrtweb_obs::{emit, EventKind};
 use mrtweb_store::edge::{EdgeCache, EdgeKey};
-use mrtweb_store::gateway::{Gateway, Request};
+use mrtweb_store::gateway::{Gateway, Request, CACHE_BUDGET};
 use mrtweb_store::migrate::{decode_record, encode_record, MigrationRecord};
 use mrtweb_store::store::DocumentStore;
 use mrtweb_transport::live::{LiveClient, LiveServer};
@@ -61,7 +62,7 @@ impl Default for RunConfig {
         RunConfig {
             docs: 8,
             requests: 64,
-            byte_budget: 1 << 20,
+            byte_budget: CACHE_BUDGET,
             packet_size: 64,
             gamma: 1.5,
             seed: 42,
@@ -100,8 +101,6 @@ pub struct RunReport {
     pub byte_identical: bool,
     /// Whole entries the budget evicted.
     pub evictions: u64,
-    /// Parity packets trimmed from memory by the budget.
-    pub trimmed_packets: u64,
     /// Bytes resident when the run ended.
     pub resident_bytes: usize,
     /// The configured byte budget.
@@ -151,12 +150,11 @@ impl RunReport {
         );
         let _ = writeln!(
             out,
-            "budget: resident_bytes={} byte_budget={} under_budget={} evictions={} trimmed_packets={}",
+            "budget: resident_bytes={} byte_budget={} under_budget={} evictions={}",
             self.resident_bytes,
             self.byte_budget,
             self.under_budget(),
-            self.evictions,
-            self.trimmed_packets
+            self.evictions
         );
         out
     }
@@ -373,7 +371,6 @@ fn run_traced(cfg: &RunConfig) -> Result<RunReport, String> {
         },
         byte_identical,
         evictions: stats.evictions,
-        trimmed_packets: stats.trimmed_packets,
         resident_bytes: stats.resident_bytes,
         byte_budget: cfg.byte_budget,
     };
@@ -597,8 +594,8 @@ mod tests {
         .unwrap();
         assert!(report.under_budget(), "{}", report.render());
         assert!(
-            report.evictions > 0 || report.trimmed_packets > 0,
-            "a 12 KiB budget over this corpus must create pressure: {}",
+            report.evictions > 0,
+            "a 12 KiB budget over this corpus must evict: {}",
             report.render()
         );
         assert!(report.byte_identical, "{}", report.render());

@@ -35,7 +35,7 @@ use mrtweb_docmodel::lod::Lod;
 use mrtweb_store::air::broadcast_doc_from_blob;
 use mrtweb_store::codec::{decode_dispersed, encode_dispersed};
 use mrtweb_store::edge::{EdgeCache, EdgeKey};
-use mrtweb_store::gateway::{Gateway, Request};
+use mrtweb_store::gateway::{Gateway, Request, CACHE_BUDGET};
 use mrtweb_store::migrate::{decode_record, encode_record, MigrationRecord};
 use mrtweb_store::store::DocumentStore;
 use mrtweb_transport::arq::{download_arq, ArqConfig};
@@ -98,7 +98,7 @@ pub const SCENARIOS: &[(&str, &str)] = &[
     ),
     (
         "edge-rot",
-        "at-rest rot of an edge-cached blob: the rotted entry never serves, the gateway re-encodes from the store, and the refreshed cache hits byte-identically",
+        "at-rest rot of an edge-cached blob: the rotted blob never leaves the cell and its entry is dropped, the gateway re-encodes from the store, and the refreshed cache hits byte-identically",
     ),
     (
         "edge-roam-outage",
@@ -949,7 +949,7 @@ fn edge_cell(tag: &str, seed: u64, docs: usize) -> Result<EdgeCell, String> {
         .generate(seed.wrapping_add(i as u64));
         store.put(format!("http://cell/doc{i}"), generated.document);
     }
-    let edge = Arc::new(EdgeCache::new(&dir, 1 << 20).map_err(|e| format!("{e}"))?);
+    let edge = Arc::new(EdgeCache::new(&dir, CACHE_BUDGET).map_err(|e| format!("{e}"))?);
     let gateway = Gateway::new(Arc::clone(&store)).with_edge(Arc::clone(&edge));
     Ok(EdgeCell {
         dir,
@@ -1032,7 +1032,10 @@ fn edge_layer(h: &mut Harness, arm: EdgeArm, seed: u64) {
                 // for even documents, whole-file garble (every byte
                 // corrupted, CRC stress) for odd ones.
                 let key = EdgeKey::of(&req);
-                let path = edge.blob_path(&key);
+                let Some(path) = edge.blob_path(&key) else {
+                    h.check(false, || format!("edge-rot: doc {i} cache has no disk"));
+                    continue;
+                };
                 let damaged = std::fs::read(&path).map(|mut bytes| {
                     if i % 2 == 0 {
                         bytes.truncate(bytes.len() / 2);
@@ -1046,14 +1049,15 @@ fn edge_layer(h: &mut Harness, arm: EdgeArm, seed: u64) {
                 h.check(matches!(damaged, Ok(Ok(()))), || {
                     format!("edge-rot: doc {i} could not damage blob on disk")
                 });
-                // Force the next serve through the rotted file.
-                edge.flush_resident();
-
-                // Invariant 2: the rot is detected, never served: the
-                // unservable entry leaves the cache, the gateway's only
-                // cache of cooked bytes.
-                h.check(edge.serve(&key).is_none(), || {
-                    format!("edge-rot: doc {i} served a rotted blob")
+                // Invariant 2: the rot is detected, never shipped: a
+                // migration reads the at-rest blob, refuses it, and the
+                // entry whose copy rotted leaves the cache, the
+                // gateway's only cache of cooked bytes.
+                h.check(edge.export_blob(&key).is_none(), || {
+                    format!("edge-rot: doc {i} exported a rotted blob")
+                });
+                h.check(!edge.contains(&key), || {
+                    format!("edge-rot: doc {i} kept the entry of a rotted blob")
                 });
 
                 // Fallback: the next request re-encodes from the store
@@ -1181,7 +1185,7 @@ fn edge_layer(h: &mut Harness, arm: EdgeArm, seed: u64) {
                 // the resume falls back to exactly one re-encode from
                 // B's own store, and only missing packets cross the new
                 // wireless hop.
-                h.check(edge_b.serve(&EdgeKey::of(&req)).is_none(), || {
+                h.check(!edge_b.contains(&EdgeKey::of(&req)), || {
                     format!("edge-roam-outage: doc {i} appeared at cell B without a migration")
                 });
                 let Ok((server_b, hit_b)) = gateway_b.prepare_edge(&req) else {
