@@ -1,15 +1,21 @@
-//! The event-driven serving engine: sharded epoll readiness loops.
+//! The event-driven serving engine: epoll readiness loops that accept
+//! their own connections.
 //!
 //! The blocking engine ([`crate::server::Server`]) parks one OS thread
 //! per session; at base-station populations the pool serializes and
 //! throughput flatlines. This engine drives the same
 //! `session` state machines from readiness instead:
 //!
-//! * the daemon's one **acceptor** applies admission control (session
-//!   slots, typed [`crate::wire::ErrorCode::Busy`] refusals), then
-//!   hands each admitted connection to one of N **worker event loops**
-//!   round-robin via an intake queue plus an eventfd wakeup;
-//! * each worker owns an epoll instance and drives its sessions with
+//! * every one of N **event loops** watches the nonblocking listener
+//!   with `EPOLLEXCLUSIVE`, so the kernel wakes a waiting loop, rather
+//!   than all of them, for each connection. The woken loop accepts one
+//!   connection, admits it through the daemon's one admission rule
+//!   (session slots, typed [`crate::wire::ErrorCode::Busy`] refusals)
+//!   and drives it at once: the HELLO has usually arrived with the
+//!   connection, so the first round often leaves in the loop turn that
+//!   accepted it, before the socket is registered. No thread hands a
+//!   connection to another;
+//! * each loop owns an epoll instance and drives its sessions with
 //!   nonblocking reads fed to `Session::absorb` and writes out of the
 //!   session's **bounded output buffer** — when a slow client stops
 //!   reading, the buffer caps at `OUT_CAP` (64 KiB) plus one
@@ -21,11 +27,11 @@
 //!   obs events are the blocking engine's, plus per-loop
 //!   [`EventKind::LoopWait`] readiness-wait spans only this engine has.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -35,12 +41,17 @@ use mrtweb_store::gateway::Gateway;
 
 use crate::server::{Daemon, ServerConfig, READ_CHUNK};
 use crate::session::{Session, SessionEnd, Turn};
-use crate::sys::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{
+    self, Epoll, WakeFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use crate::wire::MAX_BODY;
 
-/// Epoll token reserved for each worker's intake wakeup fd; session
-/// ids count up from zero and can never collide with it.
-const WAKE_TOKEN: u64 = u64::MAX;
+/// Epoll token of the listener every loop watches; session ids count
+/// up from zero and can never collide with it.
+const LISTEN_TOKEN: u64 = u64::MAX;
+
+/// Epoll token of the shutdown wakeup every loop watches.
+const WAKE_TOKEN: u64 = u64::MAX - 1;
 
 /// Readiness-wait timeout: the loop wakes at least this often to reap
 /// idle sessions and observe shutdown.
@@ -63,8 +74,10 @@ struct Conn {
 }
 
 impl Conn {
-    /// Drains the socket into the session. `Some(end)` means the
-    /// connection died and the session must finish.
+    /// Reads what the socket holds into the session, stopping at a
+    /// short read: the kernel had no more, and level-triggered epoll
+    /// reports whatever arrives later. `Some(end)` means the connection
+    /// died and the session must finish.
     fn on_readable(&mut self, scratch: &mut [u8], d: &Daemon) -> Option<SessionEnd> {
         loop {
             // Bound buffering between dispatch passes: a peer streaming
@@ -80,6 +93,9 @@ impl Conn {
                 Ok(n) => {
                     self.session.absorb(scratch.get(..n).unwrap_or(&[]), d);
                     self.last_activity = now_nanos();
+                    if n < scratch.len() {
+                        return None;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return None,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -131,21 +147,39 @@ impl Conn {
             _ => None,
         }
     }
+
+    /// Advances the session after readiness `mask`: reads what arrived,
+    /// then pumps and flushes. `Some(end)` asks the caller to finish
+    /// the session.
+    fn step(&mut self, mask: u32, scratch: &mut [u8], d: &Daemon) -> Option<SessionEnd> {
+        if mask & EPOLLERR != 0 {
+            return Some(SessionEnd::Closed);
+        }
+        let read_end = if mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
+            self.on_readable(scratch, d)
+        } else {
+            None
+        };
+        read_end.or_else(|| self.progress(d))
+    }
+
+    /// The interest the session needs: input always, and `EPOLLOUT`
+    /// exactly while output is pending.
+    fn wanted(&self) -> u32 {
+        let pending = if self.session.pending().is_empty() {
+            0
+        } else {
+            EPOLLOUT
+        };
+        EPOLLIN | EPOLLRDHUP | pending
+    }
 }
 
-/// The intake hand-off from the acceptor to one worker loop.
-/// Deliberately unbounded: occupancy is already bounded by the
-/// admission slot counter (`max_sessions`), so a second cap here would
-/// only re-introduce the blocking engine's `accept_backlog` refusals.
-struct WorkerShared {
-    intake: Mutex<VecDeque<(TcpStream, u64)>>,
-    wake: WakeFd,
-}
-
-/// One event loop: an epoll instance plus every session sharded to it.
+/// One event loop: an epoll instance watching the shared listener, the
+/// shutdown wakeup, and every session the loop accepted.
 struct Worker {
     epoll: Epoll,
-    shared: Arc<WorkerShared>,
+    listener: Arc<TcpListener>,
     daemon: Arc<Daemon>,
     conns: HashMap<u64, Conn>,
     scratch: Vec<u8>,
@@ -163,15 +197,17 @@ impl Worker {
             let waited = now_nanos().saturating_sub(wait_start);
             self.daemon.stats.loop_wait.record(waited);
             emit_at(wait_start, EventKind::LoopWait, waited, ready.len() as u64);
+            // The shutdown wakeup is never drained, so a loop that
+            // misses the flag here sees it on its next, immediate, turn.
             if self.daemon.is_shutting_down() {
                 break;
             }
-            self.admit_intake();
             for &r in &ready {
-                if r.token == WAKE_TOKEN {
-                    self.shared.wake.drain();
-                } else {
-                    self.drive(r.token, r.mask);
+                match r.token {
+                    LISTEN_TOKEN => self.accept(),
+                    // Written only at shutdown, caught by the check above.
+                    WAKE_TOKEN => {}
+                    id => self.drive(id, r.mask),
                 }
             }
             let now = now_nanos();
@@ -181,56 +217,48 @@ impl Worker {
             }
         }
         // Teardown: sessions still open are closed and their admission
-        // slots released; connections queued but never admitted into
-        // the loop release theirs too.
+        // slots released.
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             self.finish(id, SessionEnd::Closed);
         }
-        let leftovers = {
-            let mut intake = self
-                .shared
-                .intake
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            intake.drain(..).count() as u64
-        };
-        if leftovers > 0 {
-            self.daemon.release(leftovers);
-        }
     }
 
-    /// Registers every connection the acceptor queued since last time.
-    fn admit_intake(&mut self) {
-        loop {
-            let item = self
-                .shared
-                .intake
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front();
-            let Some((stream, id)) = item else { break };
-            if stream.set_nonblocking(true).is_err() {
-                self.daemon.release(1);
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let start = self.daemon.open(id);
-            let interest = EPOLLIN | EPOLLRDHUP;
-            if self.epoll.add(stream.as_raw_fd(), interest, id).is_err() {
-                self.daemon.close(id, start, SessionEnd::Closed);
-                continue;
-            }
-            let conn = Conn {
-                stream,
-                session: Session::new(id),
-                start,
-                last_activity: start,
-                read_closed: false,
-                interest,
-            };
-            self.conns.insert(id, conn);
+    /// Accepts one connection, admits it, and drives it at once, as if
+    /// it were readable: the HELLO has usually arrived with the
+    /// connection, so the first round can leave before the socket is
+    /// registered, with the interest its pending output needs.
+    fn accept(&mut self) {
+        // `WouldBlock` when a loop woken with this one took it first.
+        let Ok(stream) = sys::accept(&self.listener) else {
+            return;
+        };
+        let Some(id) = self.daemon.admit(&stream) else {
+            return;
+        };
+        let start = self.daemon.open(id);
+        let mut conn = Conn {
+            stream,
+            session: Session::new(id),
+            start,
+            last_activity: start,
+            read_closed: false,
+            interest: 0,
+        };
+        if let Some(end) = conn.step(EPOLLIN, &mut self.scratch, &self.daemon) {
+            self.daemon.close(id, start, end);
+            return;
         }
+        conn.interest = conn.wanted();
+        if self
+            .epoll
+            .add(conn.stream.as_raw_fd(), conn.interest, id)
+            .is_err()
+        {
+            self.daemon.close(id, start, SessionEnd::Closed);
+            return;
+        }
+        self.conns.insert(id, conn);
     }
 
     /// Advances one session after a readiness event.
@@ -238,28 +266,11 @@ impl Worker {
         let Some(c) = self.conns.get_mut(&id) else {
             return;
         };
-        let done = if mask & EPOLLERR != 0 {
-            Some(SessionEnd::Closed)
-        } else {
-            let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0;
-            let read_end = if readable {
-                c.on_readable(&mut self.scratch, &self.daemon)
-            } else {
-                None
-            };
-            read_end.or_else(|| c.progress(&self.daemon))
-        };
-        if let Some(end) = done {
+        if let Some(end) = c.step(mask, &mut self.scratch, &self.daemon) {
             self.finish(id, end);
             return;
         }
-        // Register EPOLLOUT exactly while output is pending.
-        let pending = if c.session.pending().is_empty() {
-            0
-        } else {
-            EPOLLOUT
-        };
-        let want = EPOLLIN | EPOLLRDHUP | pending;
+        let want = c.wanted();
         if want != c.interest && self.epoll.modify(c.stream.as_raw_fd(), want, id).is_ok() {
             c.interest = want;
         }
@@ -289,12 +300,12 @@ impl Worker {
         }
     }
 
-    /// Tears one session down and closes its books.
+    /// Closes one session's books, then its socket, which leaves the
+    /// epoll interest set with its only descriptor.
     fn finish(&mut self, id: u64, end: SessionEnd) {
         let Some(c) = self.conns.remove(&id) else {
             return;
         };
-        self.epoll.delete(c.stream.as_raw_fd());
         self.daemon.close(id, c.start, end);
     }
 }
@@ -309,9 +320,9 @@ fn duration_nanos(d: Duration) -> u64 {
 pub struct EventServer {
     local_addr: SocketAddr,
     daemon: Arc<Daemon>,
-    accept_handle: Option<JoinHandle<()>>,
+    /// Written once, at shutdown, to wake every loop.
+    wake: WakeFd,
     worker_handles: Vec<JoinHandle<()>>,
-    worker_shared: Vec<Arc<WorkerShared>>,
 }
 
 impl std::fmt::Debug for EventServer {
@@ -324,68 +335,52 @@ impl std::fmt::Debug for EventServer {
 }
 
 impl EventServer {
-    /// Binds `addr` and starts the acceptor plus `config.workers`
-    /// event loops.
+    /// Binds `addr` and starts `config.workers` event loops, each
+    /// accepting on the shared listener.
     ///
     /// # Errors
     ///
-    /// Propagates socket bind and epoll/eventfd creation failures.
+    /// Propagates socket bind and setup, and epoll/eventfd creation
+    /// failures; no thread has started when it fails.
     pub fn bind(
         addr: &str,
         gateway: Gateway,
         config: ServerConfig,
     ) -> std::io::Result<EventServer> {
         let listener = TcpListener::bind(addr)?;
+        sys::prepare_listener(&listener)?;
         let local_addr = listener.local_addr()?;
+        let listener = Arc::new(listener);
         let daemon = Daemon::new(gateway, config);
-
-        let nworkers = daemon.config.workers.max(1);
-        let mut worker_shared = Vec::with_capacity(nworkers);
-        let mut worker_handles = Vec::with_capacity(nworkers);
-        for _ in 0..nworkers {
-            let epoll = Epoll::new()?;
-            let shared = Arc::new(WorkerShared {
-                intake: Mutex::new(VecDeque::new()),
-                wake: WakeFd::new()?,
-            });
-            epoll.add(shared.wake.raw(), EPOLLIN, WAKE_TOKEN)?;
-            let worker = Worker {
-                epoll,
-                shared: Arc::clone(&shared),
-                daemon: Arc::clone(&daemon),
-                conns: HashMap::new(),
-                scratch: vec![0u8; READ_CHUNK],
-                last_reap: 0,
-            };
-            worker_shared.push(shared);
-            worker_handles.push(std::thread::spawn(move || worker.run()));
-        }
-
-        let accept_handle = {
-            let daemon = Arc::clone(&daemon);
-            let workers = worker_shared.clone();
-            let mut rr = 0usize;
-            std::thread::spawn(move || {
-                daemon.accept_loop(&listener, |stream, id| {
-                    let worker = &workers[rr % workers.len()];
-                    rr = rr.wrapping_add(1);
-                    worker
-                        .intake
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push_back((stream, id));
-                    worker.wake.wake();
-                    Ok(())
-                });
+        let wake = WakeFd::new()?;
+        let epolls = (0..daemon.config.workers.max(1))
+            .map(|_| {
+                let epoll = Epoll::new()?;
+                epoll.add(listener.as_raw_fd(), EPOLLIN | EPOLLEXCLUSIVE, LISTEN_TOKEN)?;
+                epoll.add(wake.raw(), EPOLLIN, WAKE_TOKEN)?;
+                Ok(epoll)
             })
-        };
+            .collect::<std::io::Result<Vec<Epoll>>>()?;
+        let worker_handles = epolls
+            .into_iter()
+            .map(|epoll| {
+                let worker = Worker {
+                    epoll,
+                    listener: Arc::clone(&listener),
+                    daemon: Arc::clone(&daemon),
+                    conns: HashMap::new(),
+                    scratch: vec![0u8; READ_CHUNK],
+                    last_reap: 0,
+                };
+                std::thread::spawn(move || worker.run())
+            })
+            .collect();
 
         Ok(EventServer {
             local_addr,
             daemon,
-            accept_handle: Some(accept_handle),
+            wake,
             worker_handles,
-            worker_shared,
         })
     }
 
@@ -404,13 +399,8 @@ impl EventServer {
     /// are closed immediately (end code 4) — an event loop has nowhere
     /// to park them, unlike the blocking engine's run-to-completion.
     pub fn shutdown(mut self) -> RegistrySnapshot {
-        self.daemon.stop(self.local_addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        for shared in &self.worker_shared {
-            shared.wake.wake();
-        }
+        self.daemon.stop();
+        self.wake.wake();
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }

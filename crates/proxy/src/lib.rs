@@ -10,23 +10,25 @@
 //!   the HELLO/HEADER handshake that carries a
 //!   [`mrtweb_transport::live::DocumentHeader`] to the client.
 //! - [`server`] — what both engines share (configuration, the one
-//!   admission loop with its typed refusals, the one mapping from
-//!   session ends to counters) and the blocking engine: a thread pool
-//!   behind a bounded accept queue, driving each session with blocking
-//!   socket calls and reaping idle clients by socket timeouts. It needs
-//!   no unsafe code and runs on every build.
+//!   admission rule with its typed refusals, the one mapping from
+//!   session ends to counters) and the blocking engine: an acceptor
+//!   thread and a thread pool behind a bounded accept queue, driving
+//!   each session with blocking socket calls and reaping idle clients
+//!   by socket timeouts. It needs no unsafe code and runs on every
+//!   build.
 //! - `session` — one connection's protocol as a byte-level state
 //!   machine: HELLO or STATS-REQUEST in, HEADER and the frames of
 //!   [`mrtweb_transport::serve::Rounds`] out through a bounded output
 //!   buffer, every failure mapped to a typed ERROR. Both engines drive
 //!   it; only the I/O differs.
 //! - [`event`] (Linux, feature `event`, on by default) — the
-//!   event-driven engine: sharded epoll readiness loops that drive
-//!   sessions from nonblocking reads and write-readiness
-//!   backpressure. It exists to break the thread pool's throughput
-//!   ceiling.
-//! - [`sys`] — the libc-free epoll/eventfd syscall shim the event
-//!   engine stands on.
+//!   event-driven engine: epoll readiness loops that each accept their
+//!   own connections and drive them from nonblocking reads and
+//!   write-readiness backpressure. It exists to break the thread
+//!   pool's throughput ceiling.
+//! - [`sys`] — the libc-free syscall shim the event engine stands on:
+//!   epoll, eventfd, and a nonblocking `accept4` on a listener every
+//!   loop shares.
 //! - [`client`] — a blocking fetch that drives
 //!   [`mrtweb_transport::live::LiveClient`] over the socket, with
 //!   early stop at a content threshold or target resolution.
@@ -41,7 +43,7 @@
 //! hop is the optional fault injector mangling inner transport frames,
 //! which the transport CRC-16 catches exactly as in the simulator.
 
-// The only unsafe in this crate is the epoll syscall shim in `sys`;
+// The only unsafe in this crate is the syscall shim in `sys`;
 // every other module stays unsafe-free, and the blocking-fallback
 // build proves it crate-wide.
 #![cfg_attr(not(all(target_os = "linux", feature = "event")), forbid(unsafe_code))]

@@ -5,10 +5,12 @@
 //! proxy on the base station, mediating between web servers and
 //! weakly-connected mobile clients. This module is that daemon:
 //!
-//! * an acceptor thread **admits** connections — a session slot
-//!   counter enforces `max_sessions`; refusals are *told* to the client
-//!   with a typed [`ErrorCode::Busy`] rather than a silent close. Both
-//!   engines run this one admission loop;
+//! * one admission rule (`Daemon::admit`) runs at both engines' accept
+//!   sites, the blocking engine's acceptor thread and every event
+//!   loop: it numbers each connection and reserves a session slot, so
+//!   a slot counter enforces `max_sessions`; refusals are *told* to
+//!   the client with a typed [`ErrorCode::Busy`] rather than a silent
+//!   close;
 //! * each admitted connection is one `Session`: HELLO →
 //!   [`Gateway::prepare_edge`] → HEADER → rounds of frames, with
 //!   retransmission driven by client REQUEST messages through the same
@@ -21,11 +23,11 @@
 //!   the (reliable) proxy envelope, so the fault scenarios run over
 //!   real sockets: the TCP hop plays the wired backbone, the injected
 //!   faults play the wireless last hop;
-//! * the **blocking engine** ([`Server`]) hands admitted connections
-//!   through a bounded accept queue to a fixed worker pool, which
-//!   drives each session with blocking socket calls; idle sessions are
-//!   reaped by the socket timeouts. It needs no unsafe code and runs on
-//!   every build;
+//! * the **blocking engine** ([`Server`]) has one acceptor thread hand
+//!   admitted connections through a bounded accept queue to a fixed
+//!   worker pool, which drives each session with blocking socket
+//!   calls; idle sessions are reaped by the socket timeouts. It needs
+//!   no unsafe code and runs on every build;
 //! * shutdown is **clean**: a flag plus a listener self-connect wakeup,
 //!   then queue close and worker joins — no thread is ever detached.
 
@@ -52,10 +54,14 @@ use crate::wire::{ErrorCode, Message};
 pub struct ServerConfig {
     /// Admission limit: sessions admitted (queued + active) at once.
     pub max_sessions: usize,
-    /// Worker threads actively serving sessions.
+    /// Serving threads. The blocking engine's workers serve one session
+    /// at a time each; each of the event engine's loops accepts and
+    /// serves its own connections.
     pub workers: usize,
-    /// Bounded accept queue between listener and workers; a full queue
-    /// rejects further connections even under `max_sessions`.
+    /// The blocking engine's bounded accept queue between its acceptor
+    /// and its workers; a full queue rejects further connections even
+    /// under `max_sessions`. The event engine has no such queue (its
+    /// loops serve what they accept) and ignores this.
     pub accept_backlog: usize,
     /// Per-session cap on frames served; exceeding it ends the session
     /// with [`ErrorCode::BudgetExceeded`].
@@ -93,13 +99,16 @@ impl Default for ServerConfig {
 /// Per-worker socket read scratch size.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
-/// Everything the acceptor and the session drivers of one daemon share.
+/// Everything the accept sites and the session drivers of one daemon
+/// share.
 pub(crate) struct Daemon {
     pub(crate) gateway: Gateway,
     pub(crate) config: ServerConfig,
     pub(crate) stats: ProxyStats,
     /// Admission slots held: sessions admitted and not yet finished.
     admitted: AtomicU64,
+    /// The id the next accepted connection gets.
+    next_session_id: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -110,6 +119,7 @@ impl Daemon {
             config,
             stats: ProxyStats::new(),
             admitted: AtomicU64::new(0),
+            next_session_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -118,12 +128,9 @@ impl Daemon {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Raises the shutdown flag and wakes the acceptor out of
-    /// `accept()` by connecting to ourselves; the loop sees the flag
-    /// and exits before serving that connection.
-    pub(crate) fn stop(&self, local_addr: SocketAddr) {
+    /// Raises the shutdown flag; each engine then wakes its threads.
+    pub(crate) fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(local_addr);
     }
 
     /// Opens a session's books; returns its start time.
@@ -161,60 +168,41 @@ impl Daemon {
         };
         emit(EventKind::SessionEnd, id, end_code);
         self.stats.active.dec();
-        self.release(1);
+        self.release();
     }
 
-    /// Releases `n` admission slots.
-    pub(crate) fn release(&self, n: u64) {
+    /// Releases one admission slot.
+    fn release(&self) {
         // ORDERING: slot release; the counter only bounds concurrent
-        // sessions (the acceptor re-checks it every accept) and
-        // publishes no session state — the hand-off queue does that.
-        self.admitted.fetch_sub(n, Ordering::Relaxed);
+        // sessions (`admit` re-checks it on every accept) and publishes
+        // no session state: the blocking engine's accept queue hands
+        // each socket to its worker under a mutex, and an event loop
+        // serves only connections it accepted itself.
+        self.admitted.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Accepts until shut down, applying admission control, and passes
-    /// each admitted connection to `hand_off`, which gives it back when
-    /// it cannot take it (the blocking engine's full accept queue).
-    pub(crate) fn accept_loop(
-        &self,
-        listener: &TcpListener,
-        mut hand_off: impl FnMut(TcpStream, u64) -> Result<(), TcpStream>,
-    ) {
-        let max_sessions = self.config.max_sessions.max(1) as u64;
-        let mut next_session_id = 0u64;
-        loop {
-            let Ok((stream, _)) = listener.accept() else {
-                if self.is_shutting_down() {
-                    return;
-                }
-                continue;
-            };
-            if self.is_shutting_down() {
-                return;
-            }
-            self.stats.accepted.inc();
-            let session_id = next_session_id;
-            next_session_id += 1;
-
-            // Admission: reserve a session slot, or refuse loudly.
-            let prior = self.admitted.fetch_add(1, Ordering::SeqCst);
-            if prior >= max_sessions {
-                self.admitted.fetch_sub(1, Ordering::SeqCst);
-                self.reject(stream, session_id, 0, "session limit reached");
-                continue;
-            }
-            self.stats.note_in_flight(prior + 1);
-            if let Err(stream) = hand_off(stream, session_id) {
-                self.admitted.fetch_sub(1, Ordering::SeqCst);
-                self.reject(stream, session_id, 1, "accept queue full");
-            }
+    /// The one admission rule, applied at both engines' accept sites:
+    /// counts and numbers a fresh connection and reserves a session
+    /// slot for it, or tells the client it is refused and returns
+    /// `None`, after which the caller hangs up by dropping `stream`.
+    pub(crate) fn admit(&self, stream: &TcpStream) -> Option<u64> {
+        self.stats.accepted.inc();
+        // ORDERING: ids only have to be distinct; they publish nothing.
+        let id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
+        let prior = self.admitted.fetch_add(1, Ordering::SeqCst);
+        if prior >= self.config.max_sessions.max(1) as u64 {
+            self.admitted.fetch_sub(1, Ordering::SeqCst);
+            self.reject(stream, id, 0, "session limit reached");
+            return None;
         }
+        self.stats.note_in_flight(prior + 1);
+        Some(id)
     }
 
-    /// Tells a refused client why, then hangs up. `reason` follows the
-    /// [`EventKind::AdmissionReject`] schema (0 = session slots full,
-    /// 1 = accept queue full).
-    fn reject(&self, mut stream: TcpStream, session_id: u64, reason: u64, why: &str) {
+    /// Tells a refused client why, then leaves the hang-up to the
+    /// caller. `reason` follows the [`EventKind::AdmissionReject`]
+    /// schema (0 = session slots full, 1 = accept queue full).
+    fn reject(&self, mut stream: &TcpStream, session_id: u64, reason: u64, why: &str) {
         self.stats.rejected.inc();
         emit(EventKind::AdmissionReject, session_id, reason);
         let _ = stream.set_write_timeout(Some(self.config.write_timeout));
@@ -223,6 +211,25 @@ impl Daemon {
             detail: why.to_owned(),
         };
         let _ = msg.write_to(&mut stream);
+    }
+}
+
+/// The blocking engine's acceptor: accepts until shut down, admits,
+/// and queues each admitted connection for the worker pool; when the
+/// queue is full the connection gives its slot back and is refused.
+fn accept_loop(d: &Daemon, listener: &TcpListener, queue: &SessionQueue) {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown's self-connect wakes us here, and is never counted.
+        if d.is_shutting_down() {
+            return;
+        }
+        let Ok((stream, _)) = accepted else { continue };
+        let Some(id) = d.admit(&stream) else { continue };
+        if let Err(stream) = queue.try_push(stream, id) {
+            d.release();
+            d.reject(&stream, id, 1, "accept queue full");
+        }
     }
 }
 
@@ -337,7 +344,7 @@ impl Server {
         let accept_handle = {
             let daemon = Arc::clone(&daemon);
             std::thread::spawn(move || {
-                daemon.accept_loop(&listener, |stream, id| queue.try_push(stream, id));
+                accept_loop(&daemon, &listener, &queue);
                 queue.close();
             })
         };
@@ -364,7 +371,10 @@ impl Server {
     /// returns the final stats. In-flight sessions run to completion
     /// (bounded by their timeouts and budgets).
     pub fn shutdown(mut self) -> RegistrySnapshot {
-        self.daemon.stop(self.local_addr);
+        self.daemon.stop();
+        // Wake the acceptor out of `accept()`; it sees the flag and
+        // exits without serving this connection.
+        let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }

@@ -31,6 +31,7 @@ use mrtweb_channel::bandwidth::Bandwidth;
 use mrtweb_channel::bernoulli::BernoulliChannel;
 use mrtweb_channel::fault::FaultyLink;
 use mrtweb_channel::link::Link;
+use mrtweb_erasure::packet::FRAME_OVERHEAD;
 use mrtweb_obs::{emit, EventKind};
 use mrtweb_store::gateway::{Gateway, GatewayError, Request};
 use mrtweb_transport::live::LiveServer;
@@ -39,7 +40,7 @@ use mrtweb_transport::serve::{Action, Hop, Refusal, Rounds};
 use crate::server::Daemon;
 use crate::wire::{
     put_frame_envelope, put_header_envelope, ErrorCode, Hello, Message, StreamDecoder, WireError,
-    PROTOCOL_VERSION,
+    ENVELOPE_OVERHEAD, PROTOCOL_VERSION,
 };
 
 /// Backpressure cap: frame production pauses once a session's output
@@ -231,7 +232,18 @@ impl Session {
             // protocol error.
             Err((code, detail)) => return self.fail(code, detail, SessionEnd::Closed),
         };
-        put_header_envelope(&mut self.out, server.header());
+        let header = server.header();
+        put_header_envelope(&mut self.out, header);
+        // Reserve the first round up front, N FRAME envelopes and
+        // ROUND_END, or as much as the backpressure cap lets the buffer
+        // hold: no round then regrows the buffer.
+        let envelope = ENVELOPE_OVERHEAD + 1 + header.packet_size + FRAME_OVERHEAD;
+        let round = header
+            .n
+            .saturating_mul(envelope)
+            .saturating_add(ENVELOPE_OVERHEAD + 1);
+        let want = self.out.len().saturating_add(round).min(OUT_CAP + envelope);
+        self.out.reserve_exact(want.saturating_sub(self.out.len()));
         // The wireless-hop simulator, when configured: mangles transport
         // frames inside intact proxy envelopes, seeded per session so
         // concurrent sessions draw independent deterministic schedules.
@@ -390,15 +402,18 @@ mod tests {
 
     /// Serves session `id`'s first round to a peer that takes at most
     /// `chunk` bytes per write, pumping before every write as the event
-    /// engine does. Returns the bytes written and the largest output
-    /// buffer seen after a pump.
+    /// engine does, and checks that no pump regrows the output buffer
+    /// past what HELLO reserved. Returns the bytes written and the
+    /// largest output buffer seen after a pump.
     fn first_round(d: &Daemon, id: u64, hello: &Hello, chunk: usize) -> (Vec<u8>, usize) {
         let mut s = Session::new(id);
         s.absorb(&Message::Hello(hello.clone()).encode(), d);
+        let reserved = s.out.capacity();
         let (mut wire, mut peak) = (Vec::new(), 0);
         loop {
             s.pump(d);
             peak = peak.max(s.out.len());
+            assert_eq!(s.out.capacity(), reserved, "session {id} regrew its buffer");
             let n = s.pending().len().min(chunk);
             if n == 0 && s.turn() != Turn::Serve {
                 return (wire, peak);
@@ -449,5 +464,25 @@ mod tests {
             peak <= OUT_CAP + envelope,
             "output buffer reached {peak} B (cap {OUT_CAP} + one {envelope} B envelope)"
         );
+    }
+
+    #[test]
+    fn hello_reserves_the_whole_first_round() {
+        let d = daemon(SyntheticDocSpec::default().target_bytes);
+        let hello = Hello::new(URL, "");
+        // The first session cooks, the second seals its cache hit and
+        // the rest copy the seal; `first_round` checks that none of
+        // them regrows its buffer, whether read whole or in small
+        // writes.
+        let rounds: Vec<Vec<u8>> = [usize::MAX, usize::MAX, usize::MAX, 1000]
+            .into_iter()
+            .enumerate()
+            .map(|(id, chunk)| first_round(&d, id as u64, &hello, chunk).0)
+            .collect();
+        assert_eq!(prepared(&d, &hello).header().n, 63, "a paper-shape round");
+        assert!(rounds.iter().all(|wire| *wire == rounds[0]));
+        let mut s = Session::new(4);
+        s.absorb(&Message::Hello(hello.clone()).encode(), &d);
+        assert_eq!(s.out.capacity(), rounds[0].len(), "HELLO reserves it all");
     }
 }

@@ -8,7 +8,7 @@
 //! end accounting.
 
 use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,11 +17,13 @@ use mrtweb_docmodel::gen::SyntheticDocSpec;
 use mrtweb_obs::RegistrySnapshot;
 use mrtweb_proxy::client::{fetch, fetch_stats, FetchError, FetchOptions};
 use mrtweb_proxy::server::{bind_engine, Engine, ProxyServer, ServerConfig};
-use mrtweb_proxy::stats::{self, ACTIVE, COMPLETED, REQUEST_LATENCY_NS, TIMEOUTS};
+use mrtweb_proxy::stats::{
+    self, ACTIVE, COMPLETED, MAX_SESSIONS_IN_FLIGHT, REJECTED, REQUEST_LATENCY_NS, TIMEOUTS,
+};
 use mrtweb_proxy::wire::{ErrorCode, Hello, Message};
 use mrtweb_store::gateway::{Gateway, Request};
 use mrtweb_store::store::DocumentStore;
-use mrtweb_transport::live::{run_transfer, ClientEvent, TransferConfig};
+use mrtweb_transport::live::{run_transfer, ClientEvent, LiveClient, TransferConfig};
 
 const URL: &str = "doc/loopback";
 
@@ -216,6 +218,145 @@ fn admission_rejects_the_ninth_session() {
         let snapshot = server.shutdown();
         assert!(snapshot.counter("rejected") >= 1, "{}", snapshot.to_json());
         assert_eq!(snapshot.counter(COMPLETED), 8, "engine {engine:?}");
+    }
+}
+
+/// A HELLO for what [`options`] fetches.
+fn options_hello() -> Hello {
+    let o = options();
+    Hello {
+        query: o.query,
+        lod: o.lod,
+        measure: o.measure,
+        packet_size: o.packet_size,
+        gamma: o.gamma,
+        ..Hello::new(o.url, "")
+    }
+}
+
+/// Connects, waits 50 ms, then sends the HELLO in two writes split
+/// inside its envelope, and reconstructs the first round the way
+/// [`fetch`] does. Whatever the server reads as it accepts is nothing
+/// or half an envelope, so it must wait for readiness.
+fn late_split_hello_fetch(addr: SocketAddr) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    std::thread::sleep(Duration::from_millis(50));
+    let hello = Message::Hello(options_hello()).encode();
+    let (first, rest) = hello.split_at(hello.len() / 2);
+    stream.write_all(first).expect("first half");
+    std::thread::sleep(Duration::from_millis(20));
+    stream.write_all(rest).expect("second half");
+
+    let header = match Message::read_from(&mut stream).expect("handshake reply") {
+        Message::Header(h) => h,
+        other => panic!("wanted HEADER, got {other:?}"),
+    };
+    let mut client = LiveClient::new(header).expect("client");
+    loop {
+        match Message::read_from(&mut stream).expect("round") {
+            Message::Frame(bytes) => {
+                client.on_wire(&bytes);
+            }
+            Message::RoundEnd => break,
+            other => panic!("wanted FRAME or ROUND-END, got {other:?}"),
+        }
+    }
+    Message::Done.write_to(&mut stream).expect("done");
+    client
+        .document_bytes()
+        .expect("a clean first round reconstructs")
+        .to_vec()
+}
+
+#[test]
+fn late_and_split_hellos_wait_for_readiness() {
+    let expected = reference_payload();
+    for engine in engines() {
+        let server = start(engine, ServerConfig::default(), 10_240);
+        let payload = late_split_hello_fetch(server.local_addr());
+        assert!(payload == expected, "byte-identical on {engine:?}");
+        wait_for(&*server, "the session completing", |s| {
+            s.counter(COMPLETED) == 1
+        });
+        let snapshot = server.shutdown();
+        assert!(stats::is_clean(&snapshot), "{}", snapshot.to_json());
+    }
+}
+
+#[test]
+fn admission_holds_across_loops() {
+    for engine in engines() {
+        let config = ServerConfig {
+            max_sessions: 4,
+            workers: 8,
+            read_timeout: Duration::from_secs(20),
+            ..ServerConfig::default()
+        };
+        let server = start(engine, config, 1024);
+        let addr = server.local_addr();
+
+        let mut held: Vec<TcpStream> = (0..4)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(20)))
+                    .expect("timeout");
+                Message::Hello(Hello::new(URL, ""))
+                    .write_to(&mut stream)
+                    .expect("hello");
+                match Message::read_from(&mut stream).expect("handshake reply") {
+                    Message::Header(_) => stream,
+                    other => panic!("session {i}: wanted HEADER, got {other:?}"),
+                }
+            })
+            .collect();
+
+        // Sixteen at once, landing on whichever loops the kernel wakes:
+        // the slots are all held, so every one is refused.
+        std::thread::scope(|scope| {
+            let fetches: Vec<_> = (0..16)
+                .map(|_| scope.spawn(move || fetch(addr, &options())))
+                .collect();
+            for f in fetches {
+                match f.join().expect("join") {
+                    Err(FetchError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Busy),
+                    other => panic!("wanted Busy on {engine:?}, got {other:?}"),
+                }
+            }
+        });
+
+        for stream in &mut held {
+            loop {
+                match Message::read_from(stream).expect("drain") {
+                    Message::RoundEnd => break,
+                    Message::Frame(_) => {}
+                    other => panic!("wanted FRAME or ROUND-END, got {other:?}"),
+                }
+            }
+            Message::Done.write_to(stream).expect("done");
+        }
+        wait_for(&*server, "held sessions completing", |s| {
+            s.counter(COMPLETED) == 4
+        });
+        drop(held);
+
+        let snapshot = server.shutdown();
+        assert_eq!(snapshot.counter(REJECTED), 16, "engine {engine:?}");
+        assert_eq!(
+            snapshot.counter("accepted"),
+            snapshot.counter(COMPLETED) + snapshot.counter(REJECTED),
+            "engine {engine:?}: {}",
+            snapshot.to_json()
+        );
+        assert!(
+            snapshot.gauge(MAX_SESSIONS_IN_FLIGHT) <= 4,
+            "engine {engine:?}: {}",
+            snapshot.to_json()
+        );
     }
 }
 
