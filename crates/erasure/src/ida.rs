@@ -406,11 +406,15 @@ impl Codec {
     }
 
     /// Reconstructs the original `len` bytes from any `M` intact cooked
-    /// packets, supplied as `(cooked index, payload)` pairs.
+    /// packets, supplied as `(cooked index, payload)` pairs. Payloads
+    /// may be owned (`Vec<u8>`) or borrowed (`&[u8]`), so a receiver
+    /// that keeps its packets in one buffer decodes from slices of it.
     ///
     /// Extra packets beyond `M` are ignored (the first `M` distinct
     /// indices are used). If the supplied packets happen to be exactly
-    /// the clear-text prefix, no matrix inversion is performed.
+    /// the clear-text prefix, no matrix inversion is performed. With
+    /// the survivor set's inverse cached, the output is the only
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -420,7 +424,11 @@ impl Codec {
     /// * [`Error::BadPacketLength`] if a payload is not `packet_size`
     ///   bytes.
     /// * [`Error::LengthOverflow`] if `len > capacity()`.
-    pub fn decode(&self, packets: &[(usize, Vec<u8>)], len: usize) -> Result<Vec<u8>, Error> {
+    pub fn decode<P: AsRef<[u8]>>(
+        &self,
+        packets: &[(usize, P)],
+        len: usize,
+    ) -> Result<Vec<u8>, Error> {
         self.decode_impl(packets, len, true)
     }
 
@@ -433,17 +441,17 @@ impl Codec {
     /// # Errors
     ///
     /// Same as [`Codec::decode`].
-    pub fn decode_uncached(
+    pub fn decode_uncached<P: AsRef<[u8]>>(
         &self,
-        packets: &[(usize, Vec<u8>)],
+        packets: &[(usize, P)],
         len: usize,
     ) -> Result<Vec<u8>, Error> {
         self.decode_impl(packets, len, false)
     }
 
-    fn decode_impl(
+    fn decode_impl<P: AsRef<[u8]>>(
         &self,
-        packets: &[(usize, Vec<u8>)],
+        packets: &[(usize, P)],
         len: usize,
         use_cache: bool,
     ) -> Result<Vec<u8>, Error> {
@@ -453,9 +461,9 @@ impl Codec {
         out
     }
 
-    fn decode_inner(
+    fn decode_inner<P: AsRef<[u8]>>(
         &self,
-        packets: &[(usize, Vec<u8>)],
+        packets: &[(usize, P)],
         len: usize,
         use_cache: bool,
     ) -> Result<Vec<u8>, Error> {
@@ -465,12 +473,16 @@ impl Codec {
                 capacity: self.capacity(),
             });
         }
-        // Deduplicate, validate, and take the first M distinct indices.
-        let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.raw);
-        let mut seen = vec![false; self.cooked];
-        for (idx, payload) in packets {
-            if *idx >= self.cooked {
-                return Err(Error::BadPacketIndex(*idx));
+        // Deduplicate, validate, and take the first M distinct indices:
+        // survivor `k` is cooked packet `key[k]`, at `packets[at[k]]`.
+        // N ≤ 256, so every index fits a byte and the survivor set is
+        // its own inverse-cache key.
+        let (mut key, mut at, mut seen) = ([0u8; 256], [0usize; 256], [false; 256]);
+        let mut chosen = 0;
+        for (pos, (idx, payload)) in packets.iter().enumerate() {
+            let (idx, payload) = (*idx, payload.as_ref());
+            if idx >= self.cooked {
+                return Err(Error::BadPacketIndex(idx));
             }
             if payload.len() != self.packet_size {
                 return Err(Error::BadPacketLength {
@@ -478,21 +490,24 @@ impl Codec {
                     want: self.packet_size,
                 });
             }
-            if seen[*idx] {
+            if seen[idx] {
                 continue;
             }
-            seen[*idx] = true;
-            chosen.push((*idx, payload.as_slice()));
-            if chosen.len() == self.raw {
+            seen[idx] = true;
+            (key[chosen], at[chosen]) = (idx as u8, pos);
+            chosen += 1;
+            if chosen == self.raw {
                 break;
             }
         }
-        if chosen.len() < self.raw {
+        if chosen < self.raw {
             return Err(Error::NotEnoughPackets {
-                have: chosen.len(),
+                have: chosen,
                 need: self.raw,
             });
         }
+        let (key, at) = (&key[..chosen], &at[..chosen]);
+        let survivor = |k: usize| packets[at[k]].1.as_ref();
 
         // Raw packet r occupies output bytes [r·ps, (r+1)·ps), truncated
         // to `len`, so rows are reconstructed directly into the result —
@@ -500,22 +515,20 @@ impl Codec {
         // `len` are never computed.
         let ps = self.packet_size;
         let mut out = vec![0u8; len];
-        let all_clear = chosen.iter().all(|(i, _)| *i < self.raw);
-        if all_clear {
-            for (i, payload) in &chosen {
-                let start = i * ps;
+        if key.iter().all(|&i| usize::from(i) < self.raw) {
+            for (k, &i) in key.iter().enumerate() {
+                let start = usize::from(i) * ps;
                 if start >= len {
                     continue;
                 }
                 let end = (start + ps).min(len);
-                out[start..end].copy_from_slice(&payload[..end - start]);
+                out[start..end].copy_from_slice(&survivor(k)[..end - start]);
             }
         } else {
-            let indices: Vec<usize> = chosen.iter().map(|(i, _)| *i).collect();
             let inv = if use_cache {
-                self.inverse_for(&indices)?
+                self.inverse_for(key)?
             } else {
-                Arc::new(cauchy::decode_inverse(self.raw, self.cooked, &indices)?)
+                Arc::new(cauchy::decode_inverse(self.raw, self.cooked, &widen(key))?)
             };
             for r in 0..self.raw {
                 let start = r * ps;
@@ -524,30 +537,29 @@ impl Codec {
                 }
                 let end = (start + ps).min(len);
                 let row = &mut out[start..end];
-                mul_row(row, &chosen[0].1[..end - start], inv.get(r, 0));
-                for (k, (_, payload)) in chosen.iter().enumerate().skip(1) {
-                    mul_acc(row, &payload[..end - start], inv.get(r, k));
+                mul_row(row, &survivor(0)[..end - start], inv.get(r, 0));
+                for k in 1..self.raw {
+                    mul_acc(row, &survivor(k)[..end - start], inv.get(r, k));
                 }
             }
         }
         Ok(out)
     }
 
-    /// Returns the decode inverse for the given survivor set, from the
-    /// cache when present.
+    /// Returns the decode inverse for the survivor set `key` (cooked
+    /// indices, one byte each), from the cache when present.
     ///
     /// Weakly-connected sessions revisit the same few loss patterns
     /// (burst losses hit the same interleave positions), so even the
     /// closed-form `O(M²)` Cauchy inversion is paid once per pattern
     /// instead of once per document; the cache also keeps small-packet
     /// warm decodes allocation-free.
-    fn inverse_for(&self, indices: &[usize]) -> Result<Arc<Matrix>, Error> {
-        let key: Vec<u8> = indices.iter().map(|&i| i as u8).collect();
+    fn inverse_for(&self, key: &[u8]) -> Result<Arc<Matrix>, Error> {
         let cache = self
             .inverse_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(inv) = cache.get(&key) {
+        if let Some(inv) = cache.get(key) {
             // ORDERING: pure tallies — nothing is published through
             // them; RMW atomicity alone keeps the totals exact.
             INVERSE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -558,7 +570,7 @@ impl Codec {
         INVERSE_MISSES.fetch_add(1, Ordering::Relaxed);
         emit(EventKind::CacheMiss, self.raw as u64, cache.len() as u64);
         drop(cache); // do not hold the lock across the inversion
-        let inv = Arc::new(cauchy::decode_inverse(self.raw, self.cooked, indices)?);
+        let inv = Arc::new(cauchy::decode_inverse(self.raw, self.cooked, &widen(key))?);
         let mut cache = self
             .inverse_cache
             .lock()
@@ -566,7 +578,7 @@ impl Codec {
         if cache.len() >= INVERSE_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(key, Arc::clone(&inv));
+        cache.insert(key.to_vec(), Arc::clone(&inv));
         Ok(inv)
     }
 
@@ -579,6 +591,11 @@ impl Codec {
     pub fn coefficients(&self, index: usize) -> &[Gf256] {
         self.generator.row(index)
     }
+}
+
+/// Survivor indices as the Cauchy inversion takes them.
+fn widen(key: &[u8]) -> Vec<usize> {
+    key.iter().map(|&i| usize::from(i)).collect()
 }
 
 /// Encodes data of arbitrary length by chunking into consecutive

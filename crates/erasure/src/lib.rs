@@ -58,7 +58,6 @@ pub mod crc;
 pub mod cursor;
 pub mod gf256;
 pub mod ida;
-pub mod incremental;
 pub mod interleave;
 pub mod matrix;
 pub mod packet;

@@ -101,22 +101,24 @@ impl Frame {
     /// [`Error::MalformedFrame`] if the buffer length is wrong or the CRC
     /// does not match (i.e. the frame was corrupted in transit).
     pub fn from_wire(wire: &[u8], payload_len: usize) -> Result<Self, Error> {
-        let (sequence, payload) = split_checked(wire, payload_len)?;
+        let (sequence, payload) = check_frame(wire, payload_len)?;
         Ok(Frame {
             sequence,
             payload: payload.to_vec(),
         })
     }
-
-    /// Checks integrity without allocating a [`Frame`].
-    pub fn verify_wire(wire: &[u8], payload_len: usize) -> bool {
-        split_checked(wire, payload_len).is_ok()
-    }
 }
 
-/// The sequence number and payload of a frame whose length and CRC-16
-/// check out.
-fn split_checked(wire: &[u8], payload_len: usize) -> Result<(u16, &[u8]), Error> {
+/// Checks a frame in place: the sequence number and the payload,
+/// borrowed from `wire`, of a frame whose length and CRC-16 check out.
+/// A receiver copies the payload straight to where it keeps packets;
+/// [`Frame::from_wire`] is this check plus a copy.
+///
+/// # Errors
+///
+/// [`Error::MalformedFrame`] if the buffer length is wrong or the CRC
+/// does not match (i.e. the frame was corrupted in transit).
+pub fn check_frame(wire: &[u8], payload_len: usize) -> Result<(u16, &[u8]), Error> {
     let wrong_length = || Error::MalformedFrame("wrong frame length");
     let (body, stored) = wire.split_last_chunk().ok_or_else(wrong_length)?;
     let (sequence, payload) = body.split_first_chunk().ok_or_else(wrong_length)?;
@@ -188,7 +190,7 @@ mod tests {
         let wire = f.to_wire();
         assert_eq!(wire.len(), 36);
         assert_eq!(Frame::from_wire(&wire, 32).unwrap(), f);
-        assert!(Frame::verify_wire(&wire, 32));
+        assert_eq!(check_frame(&wire, 32).unwrap(), (0xBEEF, f.payload()));
     }
 
     #[test]
@@ -202,7 +204,7 @@ mod tests {
                 Frame::from_wire(&bad, 16).is_err(),
                 "flip at byte {i} went undetected"
             );
-            assert!(!Frame::verify_wire(&bad, 16));
+            assert!(check_frame(&bad, 16).is_err());
         }
     }
 

@@ -5,12 +5,11 @@
 //! the structurally extreme shapes. This sweep pins the corners:
 //! all-clear (the systematic prefix), all-parity (pure redundancy
 //! rows), mixed interleavings, minimal-`M`, and over-complete sets, for
-//! the one-shot, incremental, and parallel/group codecs alike.
+//! the one-shot and parallel/group codecs alike.
 
 use proptest::prelude::*;
 
 use mrtweb_erasure::ida::Codec;
-use mrtweb_erasure::incremental::IncrementalDecoder;
 use mrtweb_erasure::par::GroupCodec;
 
 /// Deterministic Fisher–Yates from a seed (test-local shuffling).
@@ -101,40 +100,6 @@ proptest! {
             keep.iter().map(|&i| (i, cooked[i].clone())).collect();
         let decoded = codec.decode(&packets, data.len()).unwrap();
         prop_assert_eq!(&decoded[..], data);
-    }
-
-    /// The incremental decoder reaches the same bytes absorbing the
-    /// same survivors one at a time, in shape order, and reports
-    /// completion exactly at rank M.
-    #[test]
-    fn incremental_matches_one_shot_for_every_shape(
-        m in 1usize..12,
-        extra in 0usize..12,
-        packet_size in 1usize..32,
-        shape in 0u8..5,
-        data in proptest::collection::vec(any::<u8>(), 0..300),
-        seed in any::<u64>(),
-    ) {
-        let n = m + extra;
-        let codec = Codec::new(m, n, packet_size).unwrap();
-        let data = &data[..data.len().min(codec.capacity())];
-        let cooked = codec.encode(data);
-        let keep = survivors(shape, m, n, seed);
-        let mut inc = IncrementalDecoder::new(&codec);
-        let mut completed_at = None;
-        for (k, &i) in keep.iter().enumerate() {
-            let useful = inc.absorb(&codec, i, &cooked[i]).unwrap();
-            if inc.is_complete() && completed_at.is_none() {
-                completed_at = Some(k + 1);
-            }
-            // A distinct index below rank M is always useful.
-            if k < m {
-                prop_assert!(useful, "distinct packet {} rejected before rank M", i);
-            }
-        }
-        prop_assert_eq!(completed_at, Some(m), "completion not at exactly M distinct packets");
-        let finished = inc.finish(data.len()).unwrap();
-        prop_assert_eq!(&finished[..], data);
     }
 
     /// The parallel group codec round-trips payloads larger than one

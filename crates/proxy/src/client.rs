@@ -8,17 +8,30 @@
 //! button) or once the leading slices of the ranked plan are fully
 //! renderable (the *target resolution*: the user got the part of the
 //! document the query ranked first).
+//!
+//! The receive path is built for the weak device: the socket is read
+//! straight into one [`StreamDecoder`], sized from the HEADER so a
+//! paper-shape round arrives in one read; each FRAME's transport frame
+//! is checked where it lies and copied once, into the client's packet
+//! buffer; and a fetch makes no allocation per frame.
 
-use std::collections::HashSet;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use mrtweb_erasure::packet::FRAME_OVERHEAD;
 use mrtweb_transport::error::Error as TransportError;
 use mrtweb_transport::live::{ClientEvent, DocumentHeader, LiveClient};
 
 use mrtweb_obs::RegistrySnapshot;
 
-use crate::wire::{ErrorCode, Hello, Message, WireError};
+use crate::wire::{
+    ErrorCode, Hello, Message, StreamDecoder, WireError, ENVELOPE_OVERHEAD, MAX_BODY,
+};
+
+/// The most a HEADER sizes the receive buffer to: a round bigger than
+/// this (large packets) arrives over several reads.
+const ROUND_BUFFER_CAP: usize = 64 * 1024;
 
 /// Everything a fetch needs besides the server address.
 #[derive(Debug, Clone)]
@@ -167,51 +180,8 @@ pub struct FetchReport {
     pub header: DocumentHeader,
 }
 
-/// Counts wire bytes as messages stream in, reading the socket in
-/// large chunks: `Message::read_from` issues many small reads (4-byte
-/// prefix, then body), and unbuffered that is two-plus syscalls per
-/// message — measurable at load-generator rates.
-struct Meter<R> {
-    inner: R,
-    bytes: u64,
-    buf: Vec<u8>,
-    pos: usize,
-    cap: usize,
-}
-
-impl<R: std::io::Read> Meter<R> {
-    fn new(inner: R) -> Self {
-        Meter {
-            inner,
-            bytes: 0,
-            buf: vec![0u8; 16 * 1024],
-            pos: 0,
-            cap: 0,
-        }
-    }
-}
-
-impl<R: std::io::Read> std::io::Read for Meter<R> {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos == self.cap {
-            // Big requests (frame bodies) bypass the buffer entirely.
-            if out.len() >= self.buf.len() {
-                let n = self.inner.read(out)?;
-                self.bytes += n as u64;
-                return Ok(n);
-            }
-            self.cap = self.inner.read(&mut self.buf)?;
-            self.pos = 0;
-            self.bytes += self.cap as u64;
-        }
-        let n = out.len().min(self.cap - self.pos);
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// Runs one complete fetch session against a proxy at `addr`.
+/// Runs one complete fetch session against a proxy at `addr`:
+/// connects, then [`fetch_over`].
 ///
 /// # Errors
 ///
@@ -222,85 +192,108 @@ pub fn fetch(addr: impl ToSocketAddrs, options: &FetchOptions) -> Result<FetchRe
     stream.set_read_timeout(Some(options.io_timeout))?;
     stream.set_write_timeout(Some(options.io_timeout))?;
     stream.set_nodelay(true)?;
-    let mut reader = Meter::new(stream);
+    fetch_over(stream, options)
+}
 
-    Message::Hello(options.hello()).write_to(&mut reader.inner)?;
-    let header = match Message::read_from(&mut reader)? {
-        Message::Header(h) => h,
-        Message::Error { code, detail } => return Err(FetchError::Rejected { code, detail }),
-        _ => return Err(FetchError::Unexpected("wanted HEADER or ERROR")),
+/// Runs one complete fetch session over a connected byte stream.
+///
+/// # Errors
+///
+/// As [`fetch`]; a HEADER that disagrees with its own plan, or whose
+/// packets no FRAME could carry, is a [`FetchError::Transport`].
+pub fn fetch_over(
+    mut stream: impl Read + Write,
+    options: &FetchOptions,
+) -> Result<FetchReport, FetchError> {
+    let mut dec = StreamDecoder::new();
+    let mut out = Vec::new();
+    let mut bytes_received = 0u64;
+
+    send(&mut stream, &mut out, &Message::Hello(options.hello()))?;
+    let header = loop {
+        match dec.next_envelope()? {
+            Some(envelope) => match envelope.message()? {
+                Message::Header(h) => break h,
+                Message::Error { code, detail } => {
+                    return Err(FetchError::Rejected { code, detail })
+                }
+                _ => return Err(FetchError::Unexpected("wanted HEADER or ERROR")),
+            },
+            None => bytes_received += fill(&mut dec, &mut stream)?,
+        }
     };
 
-    let mut client = LiveClient::new(header.clone()).map_err(TransportError::from)?;
-    let target_labels: Vec<String> = options
-        .stop_at_slices
-        .map(|k| {
-            header
-                .plan
-                .slices()
-                .iter()
-                .take(k)
-                .map(|s| s.label.clone())
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut complete_labels: HashSet<String> = HashSet::new();
+    // One FRAME envelope: length, type, the transport frame, CRC-32.
+    let envelope = header
+        .packet_size
+        .saturating_add(FRAME_OVERHEAD + 1 + ENVELOPE_OVERHEAD);
+    if envelope > MAX_BODY + ENVELOPE_OVERHEAD {
+        return Err(TransportError::BadHeader("packets larger than a FRAME can carry").into());
+    }
+    let (n, slices) = (header.n, header.plan.slices().len());
+    // The first k slices in plan order; each reaches fraction 1 once.
+    let targets = options.stop_at_slices.map_or(0, |k| k.min(slices));
+    let mut targets_done = 0;
+    let mut events = Vec::with_capacity(header.m + slices);
+    let mut client = LiveClient::new(header)?;
+    // A whole clean round (N FRAMEs, then ROUND-END) fits one read.
+    dec.reserve(
+        envelope
+            .saturating_mul(n)
+            .saturating_add(ENVELOPE_OVERHEAD + 1)
+            .min(ROUND_BUFFER_CAP),
+    );
 
-    let mut report = FetchReport {
-        completed: false,
-        stopped_early: false,
-        gave_up: false,
-        payload: Vec::new(),
-        events: Vec::new(),
-        rounds: 0,
-        requests_sent: 0,
-        frames_received: 0,
-        crc_rejects: 0,
-        bytes_received: 0,
-        header,
-    };
-
+    let (mut completed, mut stopped_early, mut gave_up) = (false, false, false);
+    let (mut rounds, mut requests_sent, mut frames_received) = (0, 0, 0);
     let mut finishing = false;
     loop {
-        let msg = match Message::read_from(&mut reader) {
-            Ok(msg) => msg,
-            // After DONE the server may close at any point; a clean or
-            // abrupt EOF while draining is an orderly end.
-            Err(WireError::Io(_)) if finishing => break,
+        let envelope = match dec.next_envelope() {
+            Ok(Some(envelope)) => envelope,
+            Ok(None) => match fill(&mut dec, &mut stream) {
+                Ok(n) => {
+                    bytes_received += n;
+                    continue;
+                }
+                // After DONE the server may close at any point; a clean
+                // or abrupt EOF while draining is an orderly end.
+                Err(_) if finishing => break,
+                Err(e) => return Err(e.into()),
+            },
             Err(e) => return Err(e.into()),
         };
-        match msg {
-            Message::Frame(bytes) => {
-                report.frames_received += 1;
-                if finishing {
-                    continue; // draining the round after DONE
-                }
-                let events = client.on_wire(&bytes);
-                let reconstructed = events
-                    .iter()
-                    .any(|e| matches!(e, ClientEvent::Reconstructed));
-                if !target_labels.is_empty() {
-                    for event in &events {
-                        if let ClientEvent::SliceProgress { label, fraction } = event {
-                            if *fraction >= 1.0 - 1e-12 && target_labels.contains(label) {
-                                complete_labels.insert(label.clone());
-                            }
-                        }
-                    }
-                }
-                report.events.extend(events);
-                if reconstructed {
-                    report.completed = true;
-                    Message::Done.write_to(&mut reader.inner)?;
-                    finishing = true;
-                } else if stop_reached(options, &client, &target_labels, &complete_labels) {
-                    report.stopped_early = true;
-                    Message::Done.write_to(&mut reader.inner)?;
-                    finishing = true;
-                }
+        if let Some(frame) = envelope.frame() {
+            frames_received += 1;
+            if finishing {
+                continue; // draining the round after DONE
             }
+            let new_events = client.on_wire(frame);
+            events.extend_from_slice(new_events);
+            targets_done += new_events
+                .iter()
+                .filter(|e| {
+                    matches!(e, ClientEvent::SliceProgress { slice, fraction }
+                        if *slice < targets && *fraction >= 1.0 - 1e-12)
+                })
+                .count();
+            if new_events.contains(&ClientEvent::Reconstructed) {
+                completed = true;
+            } else if options
+                .stop_at_content
+                .is_some_and(|threshold| client.state().content() >= threshold)
+                || (targets > 0 && targets_done >= targets)
+            {
+                stopped_early = true;
+            } else {
+                continue;
+            }
+            send(&mut stream, &mut out, &Message::Done)?;
+            finishing = true;
+            continue;
+        }
+        match envelope.message()? {
             Message::RoundEnd => {
-                report.rounds += 1;
+                rounds += 1;
                 if finishing {
                     break;
                 }
@@ -311,15 +304,15 @@ pub fn fetch(addr: impl ToSocketAddrs, options: &FetchOptions) -> Result<FetchRe
                 if needed.is_empty() {
                     // Nothing left but not reconstructed (degenerate
                     // header): end the session honestly.
-                    Message::Done.write_to(&mut reader.inner)?;
+                    send(&mut stream, &mut out, &Message::Done)?;
                     break;
                 }
-                let ids: Vec<u16> = needed.iter().map(|&i| i as u16).collect();
-                report.requests_sent += 1;
-                Message::Request(ids).write_to(&mut reader.inner)?;
+                let ids = needed.iter().map(|&i| i as u16).collect();
+                requests_sent += 1;
+                send(&mut stream, &mut out, &Message::Request(ids))?;
             }
             Message::GaveUp => {
-                report.gave_up = true;
+                gave_up = true;
                 break;
             }
             Message::Error { code, detail } => return Err(FetchError::Rejected { code, detail }),
@@ -327,29 +320,38 @@ pub fn fetch(addr: impl ToSocketAddrs, options: &FetchOptions) -> Result<FetchRe
         }
     }
 
-    report.crc_rejects = client.state().corrupted();
-    report.bytes_received = reader.bytes;
-    if report.completed {
-        report.payload = client
-            .document_bytes()
-            .map(<[u8]>::to_vec)
-            .unwrap_or_default();
-    }
-    Ok(report)
+    let crc_rejects = client.state().corrupted();
+    let (header, payload) = client.into_parts();
+    Ok(FetchReport {
+        completed,
+        stopped_early,
+        gave_up,
+        payload: payload.filter(|_| completed).unwrap_or_default(),
+        events,
+        rounds,
+        requests_sent,
+        frames_received,
+        crc_rejects,
+        bytes_received,
+        header,
+    })
 }
 
-fn stop_reached(
-    options: &FetchOptions,
-    client: &LiveClient,
-    target_labels: &[String],
-    complete_labels: &HashSet<String>,
-) -> bool {
-    if let Some(threshold) = options.stop_at_content {
-        if client.state().content() >= threshold {
-            return true;
-        }
+/// Encodes `message` into the reused buffer `out` and writes it.
+fn send(stream: &mut impl Write, out: &mut Vec<u8>, message: &Message) -> std::io::Result<()> {
+    out.clear();
+    message.encode_into(out);
+    stream.write_all(out)?;
+    stream.flush()
+}
+
+/// Reads once into the decoder; the end of the stream is an error,
+/// because a fetch only reads while it waits for an envelope.
+fn fill(dec: &mut StreamDecoder, stream: &mut impl Read) -> std::io::Result<u64> {
+    match dec.read_from(stream)? {
+        0 => Err(ErrorKind::UnexpectedEof.into()),
+        n => Ok(n as u64),
     }
-    !target_labels.is_empty() && complete_labels.len() >= target_labels.len()
 }
 
 /// Asks a proxy for its stats snapshot (named counters, gauges, and

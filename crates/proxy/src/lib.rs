@@ -30,8 +30,10 @@
 //!   epoll, eventfd, and a nonblocking `accept4` on a listener every
 //!   loop shares.
 //! - [`client`] — a blocking fetch that drives
-//!   [`mrtweb_transport::live::LiveClient`] over the socket, with
-//!   early stop at a content threshold or target resolution.
+//!   [`mrtweb_transport::live::LiveClient`] over a socket (or any byte
+//!   stream, `fetch_over`), receiving in place with no allocation per
+//!   frame, with early stop at a content threshold or target
+//!   resolution.
 //! - [`stats`] — named counters, gauges, and per-request latency
 //!   histograms on the [`mrtweb_obs`] registry, with wire-transportable
 //!   snapshots rendered as JSON.

@@ -455,15 +455,70 @@ impl Message {
         });
     }
 
-    /// Parses one complete envelope (length prefix through CRC). The
-    /// one envelope parser: [`Message::read_from`] and
-    /// [`StreamDecoder`] hand it the envelopes they read.
+    /// Parses one complete envelope (length prefix through CRC):
+    /// [`Envelope::open`], then [`Envelope::message`].
     ///
     /// # Errors
     ///
     /// Any [`WireError`] parse variant; a truncated buffer, a mangled
     /// byte anywhere, or an unknown type never yields `Ok`.
     pub fn decode(envelope: &[u8]) -> Result<Message, WireError> {
+        Envelope::open(envelope)?.message()
+    }
+
+    /// Writes the full envelope to `w` and flushes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors (including write timeouts).
+    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        w.write_all(&self.encode())?;
+        w.flush()
+    }
+
+    /// Reads exactly one envelope from `r` and parses it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Io`] on socket failure or timeout; parse variants
+    /// for hostile/garbled input. A clean EOF before the first byte
+    /// surfaces as `Io(UnexpectedEof)`.
+    pub fn read_from<R: Read>(r: &mut R) -> Result<Message, WireError> {
+        let mut prefix = [0u8; 4];
+        r.read_exact(&mut prefix)?;
+        // Checked before allocating: a hostile length fails here.
+        let total = body_len(u32::from_be_bytes(prefix))?.saturating_add(ENVELOPE_OVERHEAD);
+        let mut envelope = Vec::with_capacity(total);
+        envelope.extend_from_slice(&prefix);
+        envelope.resize(total, 0);
+        r.read_exact(envelope.get_mut(prefix.len()..).unwrap_or_default())?;
+        Message::decode(&envelope)
+    }
+}
+
+/// One envelope whose length prefix and CRC-32 checked out, borrowed
+/// from the bytes it arrived in: its type byte and its body.
+///
+/// [`Envelope::open`] is the one envelope check: [`Message::decode`]
+/// and [`StreamDecoder`] both go through it, and a receiver takes a
+/// FRAME's transport frame in place ([`Envelope::frame`]) instead of
+/// copying it into a [`Message::Frame`].
+#[derive(Debug, Clone, Copy)]
+pub struct Envelope<'a> {
+    kind: u8,
+    body: &'a [u8],
+}
+
+impl<'a> Envelope<'a> {
+    /// Checks one complete envelope: the length prefix, that the bytes
+    /// end where it says, and the CRC-32 over type and body.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadLength`], [`WireError::Truncated`],
+    /// [`WireError::Malformed`] for trailing bytes, and
+    /// [`WireError::CrcMismatch`].
+    pub fn open(envelope: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(envelope);
         let len = body_len(r.u32().map_err(|_| WireError::Truncated)?)?;
         let (Ok(payload), Ok(stored)) = (r.take(len), r.u32()) else {
@@ -476,7 +531,29 @@ impl Message {
             return Err(WireError::CrcMismatch);
         }
         let mut r = Reader::new(payload);
-        let msg = match r.u8()? {
+        let kind = r.u8()?;
+        Ok(Envelope {
+            kind,
+            body: r.rest(),
+        })
+    }
+
+    /// The transport frame (seq ‖ payload ‖ CRC-16) a FRAME envelope
+    /// carries, borrowed; `None` for every other message type.
+    pub fn frame(&self) -> Option<&'a [u8]> {
+        (self.kind == T_FRAME).then_some(self.body)
+    }
+
+    /// Parses the body as its type into an owned [`Message`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadType`] for an unknown type byte,
+    /// [`WireError::Malformed`] for a body that does not parse as its
+    /// type or has bytes left over.
+    pub fn message(&self) -> Result<Message, WireError> {
+        let mut r = Reader::new(self.body);
+        let msg = match self.kind {
             T_HELLO => {
                 let version = r.u8()?;
                 let url = get_str(&mut r)?;
@@ -526,35 +603,6 @@ impl Message {
             return Err(WireError::Malformed("trailing bytes after body"));
         }
         Ok(msg)
-    }
-
-    /// Writes the full envelope to `w` and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors (including write timeouts).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(&self.encode())?;
-        w.flush()
-    }
-
-    /// Reads exactly one envelope from `r` and parses it.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] on socket failure or timeout; parse variants
-    /// for hostile/garbled input. A clean EOF before the first byte
-    /// surfaces as `Io(UnexpectedEof)`.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Message, WireError> {
-        let mut prefix = [0u8; 4];
-        r.read_exact(&mut prefix)?;
-        // Checked before allocating: a hostile length fails here.
-        let total = body_len(u32::from_be_bytes(prefix))?.saturating_add(ENVELOPE_OVERHEAD);
-        let mut envelope = Vec::with_capacity(total);
-        envelope.extend_from_slice(&prefix);
-        envelope.resize(total, 0);
-        r.read_exact(envelope.get_mut(prefix.len()..).unwrap_or_default())?;
-        Message::decode(&envelope)
     }
 }
 
@@ -614,13 +662,14 @@ pub(crate) fn put_header_envelope(out: &mut Vec<u8>, header: &DocumentHeader) {
     });
 }
 
-/// Incremental envelope decoder: absorbs arbitrarily-split byte chunks
-/// from a nonblocking socket and yields complete [`Message`]s.
+/// Incremental envelope decoder: takes arbitrarily-split byte chunks
+/// from a socket and yields complete envelopes.
 ///
 /// The blocking path reads exactly one envelope per call
-/// ([`Message::read_from`]); a readiness loop instead gets whatever the
-/// kernel has — half a length prefix, three coalesced envelopes, a
-/// frame split mid-CRC. `StreamDecoder` buffers the tail and resumes:
+/// ([`Message::read_from`]); a readiness loop or a buffered client
+/// instead gets whatever the kernel has — half a length prefix, three
+/// coalesced envelopes, a frame split mid-CRC. `StreamDecoder` keeps
+/// the tail and resumes:
 ///
 /// ```
 /// use mrtweb_proxy::wire::{Message, StreamDecoder};
@@ -633,18 +682,27 @@ pub(crate) fn put_header_envelope(out: &mut Vec<u8>, header: &DocumentHeader) {
 /// assert_eq!(dec.next_message().unwrap(), Some(Message::Done));
 /// ```
 ///
+/// Bytes come in through [`StreamDecoder::absorb`] (a copy from the
+/// caller's buffer) or [`StreamDecoder::read_from`] (a read straight
+/// into the decoder's own), and go out as owned messages
+/// ([`StreamDecoder::next_message`]) or as checked envelopes borrowed
+/// from the buffer ([`StreamDecoder::next_envelope`]). The buffer is
+/// zeroed only when it grows; reads overwrite it in place.
+///
 /// Parse failures ([`WireError::BadLength`], [`WireError::CrcMismatch`],
 /// …) are sticky in practice: the stream has lost framing, so the
 /// session must be torn down — there is no resynchronization point.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
+    /// `buf[start..end]` holds the bytes not yet consumed.
     buf: Vec<u8>,
-    pos: usize,
+    start: usize,
+    end: usize,
 }
 
-/// Consumed-prefix length at which [`StreamDecoder`] compacts its
-/// buffer instead of letting it grow.
-const DECODER_COMPACT_AT: usize = 64 * 1024;
+/// Free bytes [`StreamDecoder::read_from`] asks for at least: a new
+/// decoder's first read, before a HEADER says how big a round is.
+pub const FIRST_READ: usize = 4096;
 
 impl StreamDecoder {
     /// An empty decoder.
@@ -654,15 +712,66 @@ impl StreamDecoder {
 
     /// Buffers `bytes` read from the stream.
     pub fn absorb(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        let free = self.buf.get_mut(self.end..).unwrap_or_default();
+        if let Some(slot) = free.get_mut(..bytes.len()) {
+            slot.copy_from_slice(bytes);
+            self.end += bytes.len();
+        }
+    }
+
+    /// Reads once from `r` straight into the buffer, after making room
+    /// for the rest of the envelope in progress (and for at least
+    /// [`FIRST_READ`] bytes). Returns the bytes read; `0` is end of
+    /// stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `r.read` returns.
+    pub fn read_from<R: Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
+        let missing = match Reader::new(self.unread()).u32() {
+            Ok(prefix) => body_len(prefix)
+                .map_or(0, |len| len.saturating_add(ENVELOPE_OVERHEAD))
+                .saturating_sub(self.buffered()),
+            Err(Short) => 0,
+        };
+        self.reserve(missing.max(FIRST_READ));
+        let n = r.read(self.buf.get_mut(self.end..).unwrap_or_default())?;
+        self.end = self.end.saturating_add(n).min(self.buf.len());
+        Ok(n)
     }
 
     /// Unconsumed bytes currently buffered (partial envelopes included).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end.saturating_sub(self.start)
     }
 
-    /// Parses the next complete envelope out of the buffer.
+    fn unread(&self) -> &[u8] {
+        self.buf.get(self.start..self.end).unwrap_or(&[])
+    }
+
+    /// The next complete envelope, checked and borrowed from the
+    /// buffer; a FRAME's transport frame comes out of it with no copy
+    /// ([`Envelope::frame`]).
+    ///
+    /// `Ok(None)` means the buffer holds no complete envelope yet —
+    /// read or absorb more bytes and retry.
+    ///
+    /// # Errors
+    ///
+    /// The variants of [`Envelope::open`]; an error means the stream is
+    /// corrupt and the connection should be dropped.
+    pub fn next_envelope(&mut self) -> Result<Option<Envelope<'_>>, WireError> {
+        let Some((len, envelope)) = front(self.buf.get(self.start..self.end).unwrap_or(&[]))?
+        else {
+            return Ok(None);
+        };
+        self.start = self.start.saturating_add(len);
+        Ok(Some(envelope))
+    }
+
+    /// Parses the next complete envelope out of the buffer into an
+    /// owned [`Message`].
     ///
     /// `Ok(None)` means the buffer holds no complete envelope yet —
     /// absorb more bytes and retry.
@@ -672,35 +781,48 @@ impl StreamDecoder {
     /// The same parse variants as [`Message::decode`]; an error means
     /// the stream is corrupt and the connection should be dropped.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        let b = self.buf.get(self.pos..).unwrap_or(&[]);
-        // The length prefix is checked before the body arrives: a
-        // hostile length must fail now, not buffer 4 GiB first.
-        let envelope = match Reader::new(b).u32() {
-            Ok(prefix) => b.get(..body_len(prefix)?.saturating_add(ENVELOPE_OVERHEAD)),
-            Err(Short) => None,
-        };
-        let Some(envelope) = envelope else {
-            self.compact();
+        let Some((len, envelope)) = front(self.unread())? else {
             return Ok(None);
         };
-        let msg = Message::decode(envelope)?;
-        self.pos += envelope.len();
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= DECODER_COMPACT_AT {
-            self.compact();
-        }
+        let msg = envelope.message()?;
+        self.start = self.start.saturating_add(len);
         Ok(Some(msg))
     }
 
-    /// Drops the consumed prefix so the buffer never grows past one
-    /// partial envelope plus unparsed input.
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Makes `additional` bytes free after the unconsumed ones, so that
+    /// many arrive without the buffer growing — how a client sizes it
+    /// once a HEADER says how large a round is. Moves the unconsumed
+    /// bytes to the front, and grows the buffer (at least doubling it)
+    /// only when that is not enough.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
         }
+        if self.buf.len().saturating_sub(self.end) >= additional {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.buffered());
+        let want = self.end.saturating_add(additional);
+        if self.buf.len() < want {
+            self.buf
+                .resize(want.max(self.buf.len().saturating_mul(2)), 0);
+        }
+    }
+}
+
+/// The envelope at the front of `unread` and its length on the wire,
+/// once all of it is there.
+fn front(unread: &[u8]) -> Result<Option<(usize, Envelope<'_>)>, WireError> {
+    // The length prefix is checked before the body arrives: a hostile
+    // length must fail now, not buffer 4 GiB first.
+    let Ok(prefix) = Reader::new(unread).u32() else {
+        return Ok(None);
+    };
+    let len = body_len(prefix)?.saturating_add(ENVELOPE_OVERHEAD);
+    match unread.get(..len) {
+        Some(bytes) => Ok(Some((len, Envelope::open(bytes)?))),
+        None => Ok(None),
     }
 }
 

@@ -125,13 +125,13 @@ fn eight_concurrent_fetches_reconstruct_byte_identically() {
             );
             // Progressive rendering never goes backwards: per-slice
             // fractions are monotone non-decreasing in arrival order.
-            let mut last: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
+            let mut last: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
             for event in &report.events {
-                if let ClientEvent::SliceProgress { label, fraction } = event {
-                    let prev = last.insert(label.as_str(), *fraction).unwrap_or(0.0);
+                if let ClientEvent::SliceProgress { slice, fraction } = *event {
+                    let prev = last.insert(slice, fraction).unwrap_or(0.0);
                     assert!(
-                        *fraction >= prev - 1e-12,
-                        "slice {label} regressed: {prev} -> {fraction}"
+                        fraction >= prev - 1e-12,
+                        "slice {slice} regressed: {prev} -> {fraction}"
                     );
                 }
             }

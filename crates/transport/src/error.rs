@@ -34,6 +34,11 @@ pub enum Error {
         /// The requested index.
         index: usize,
     },
+    /// A transmission header whose geometry disagrees with its own plan:
+    /// `M` is not the plan's raw packet count at the header's packet
+    /// size, or the document length is not the plan's byte total. A
+    /// client refuses it, because it could never reconstruct.
+    BadHeader(&'static str),
 }
 
 impl fmt::Display for Error {
@@ -47,6 +52,7 @@ impl fmt::Display for Error {
             Error::FrameNotHeld { index } => {
                 write!(f, "frame {index} not held by this server")
             }
+            Error::BadHeader(what) => write!(f, "inconsistent transmission header: {what}"),
         }
     }
 }
@@ -55,9 +61,10 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Codec(e) => Some(e),
-            Error::ServerPanicked | Error::FrameOutOfRange { .. } | Error::FrameNotHeld { .. } => {
-                None
-            }
+            Error::ServerPanicked
+            | Error::FrameOutOfRange { .. }
+            | Error::FrameNotHeld { .. }
+            | Error::BadHeader(_) => None,
         }
     }
 }

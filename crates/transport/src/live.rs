@@ -13,6 +13,13 @@
 //! emits progressive [`ClientEvent::SliceProgress`] rendering events as
 //! clear-text bytes land, requests retransmission of what it lacks, and
 //! reconstructs the document from any `M` intact cooked packets.
+//!
+//! The client ([`LiveClient`]) is the weak device, so it receives in
+//! place: it checks each frame where it lies, copies the payload once
+//! into one packet buffer indexed by sequence, reports progress by
+//! slice index from slice ranges computed once, and allocates nothing
+//! per frame until the frame that completes `M`. A header that
+//! disagrees with its own plan is refused with a typed error.
 
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -28,7 +35,7 @@ use mrtweb_content::sc::{Measure, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::ida::Codec;
-use mrtweb_erasure::packet::{seal_frame, Frame, FRAME_OVERHEAD, PAYLOAD_OFFSET};
+use mrtweb_erasure::packet::{check_frame, seal_frame, FRAME_OVERHEAD, PAYLOAD_OFFSET};
 use mrtweb_erasure::redundancy::cooked_packets;
 use mrtweb_erasure::Error;
 use mrtweb_obs::{emit, EventKind};
@@ -123,12 +130,13 @@ pub fn cook_plan(
 }
 
 /// Progressive events the rendering manager consumes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClientEvent {
     /// More of a slice became renderable: `fraction` of its bytes are in.
     SliceProgress {
-        /// The slice's label (unit path).
-        label: String,
+        /// The slice's index in the header's plan (transmission order);
+        /// its label is `plan.slices()[slice].label`.
+        slice: usize,
         /// Fraction of the slice's bytes now available, in `[0, 1]`.
         fraction: f64,
     },
@@ -360,15 +368,38 @@ impl LiveServer {
 }
 
 /// The client side: sequence manager + rendering manager.
+///
+/// A receive makes no allocation per frame: each intact frame is
+/// checked in place and its payload copied once, into the packet
+/// buffer; each clear packet walks only the slices it overlaps; and
+/// [`LiveClient::on_wire`] lends its events out of one reused buffer.
 #[derive(Debug)]
 pub struct LiveClient {
     header: DocumentHeader,
     state: ReceiverState,
-    packets: Vec<Option<Vec<u8>>>,
+    /// Intact packets by sequence, packet `i` at `i · packet_size`. The
+    /// first `M` are the clear text, so when they are all in, the
+    /// document is this buffer's first `doc_len` bytes.
+    packets: Vec<u8>,
     codec: Codec,
+    /// The byte range each slice of the plan occupies in the payload.
+    slices: Vec<Range<usize>>,
     /// Intact clear bytes per slice (for rendering progress).
     slice_have: Vec<usize>,
-    reconstructed: Option<Vec<u8>>,
+    /// The last frame's events, lent out by [`LiveClient::on_wire`].
+    events: Vec<ClientEvent>,
+    payload: Payload,
+}
+
+/// Where a client's reconstructed payload is.
+#[derive(Debug)]
+enum Payload {
+    /// Fewer than `M` intact packets so far.
+    Pending,
+    /// Every clear packet arrived: the packet buffer's prefix.
+    Clear,
+    /// Decoded with the help of parity packets.
+    Decoded(Vec<u8>),
 }
 
 impl LiveClient {
@@ -376,91 +407,127 @@ impl LiveClient {
     ///
     /// # Errors
     ///
-    /// Propagates codec construction errors for inconsistent headers.
-    pub fn new(header: DocumentHeader) -> Result<Self, Error> {
+    /// [`TransportError::Codec`] if `(M, N, packet size)` is not a
+    /// valid code; [`TransportError::BadHeader`] if the header disagrees
+    /// with its own plan: a document length that is not the plan's
+    /// byte total, or an `M` that is not the plan's raw packet count
+    /// (so `M` packets always hold the document).
+    pub fn new(header: DocumentHeader) -> Result<Self, TransportError> {
         // Shared substrate: every client session with this (M, N) shape
         // shares one generator and one survivor-keyed decode-inverse
         // cache, so a loss pattern inverted by any session is a cache
         // hit for all of them.
         let codec = Codec::shared(header.m, header.n, header.packet_size)?;
+        let slices = header.plan.slices();
+        let total = slices
+            .iter()
+            .try_fold(0usize, |t, s| t.checked_add(s.bytes));
+        if total != Some(header.doc_len) {
+            return Err(TransportError::BadHeader(
+                "document length is not the plan's byte total",
+            ));
+        }
+        if header.m != header.plan.raw_packets(header.packet_size) {
+            return Err(TransportError::BadHeader(
+                "M is not the plan's raw packet count",
+            ));
+        }
         let contents = header.plan.packet_contents(header.packet_size);
         let state = ReceiverState::new(header.m, header.n, contents);
-        let slice_have = vec![0usize; header.plan.slices().len()];
+        // A packet overlaps at most one slice per byte, and the frame
+        // that completes `M` adds `Reconstructed`.
+        let most_events = slices.len().min(header.packet_size) + 1;
         Ok(LiveClient {
-            packets: vec![None; header.n],
+            packets: vec![0; header.n * header.packet_size],
             state,
             codec,
-            slice_have,
+            slices: header.plan.slice_ranges(),
+            slice_have: vec![0; slices.len()],
+            events: Vec::with_capacity(most_events),
+            payload: Payload::Pending,
             header,
-            reconstructed: None,
         })
     }
 
-    /// Feeds one wire frame (possibly corrupted). Returns rendering
-    /// events triggered by this frame.
-    pub fn on_wire(&mut self, wire: &[u8]) -> Vec<ClientEvent> {
-        let Ok(frame) = Frame::from_wire(wire, self.header.packet_size) else {
+    /// Feeds one wire frame (possibly corrupted) and returns the
+    /// rendering events it triggered, lent until the next call.
+    pub fn on_wire(&mut self, wire: &[u8]) -> &[ClientEvent] {
+        self.events.clear();
+        let ps = self.header.packet_size;
+        let Ok((sequence, payload)) = check_frame(wire, ps) else {
             // Corrupted: detected by CRC, discarded. Sequence is
             // unknown, so we only book the corruption statistically;
             // index 0 is safe because corrupted packets never alter
             // intact bookkeeping.
             self.state.on_packet(0, true);
             emit(EventKind::CrcReject, self.state.corrupted(), 0);
-            return Vec::new();
+            return &self.events;
         };
-        let idx = frame.sequence() as usize;
+        let idx = usize::from(sequence);
         if idx >= self.header.n || self.state.has(idx) {
             // Unknown or duplicate: nothing new.
             if idx < self.header.n {
                 self.state.on_packet(idx, false);
             }
-            return Vec::new();
+            return &self.events;
         }
         self.state.on_packet(idx, false);
-        self.packets[idx] = Some(frame.into_payload());
-        let mut events = Vec::new();
+        self.packets[idx * ps..][..ps].copy_from_slice(payload);
         if idx < self.header.m {
-            events.extend(self.render_progress(idx));
+            self.render_progress(idx);
         }
-        if self.state.is_complete() && self.reconstructed.is_none() {
-            let collected: Vec<(usize, Vec<u8>)> = self
-                .packets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.clone().map(|p| (i, p)))
-                .collect();
-            if let Ok(bytes) = self.codec.decode(&collected, self.header.doc_len) {
-                self.reconstructed = Some(bytes);
-                events.push(ClientEvent::Reconstructed);
+        if self.state.is_complete() && matches!(self.payload, Payload::Pending) {
+            if let Some(payload) = self.reconstruct() {
+                self.payload = payload;
+                self.events.push(ClientEvent::Reconstructed);
             }
         }
-        events
+        &self.events
     }
 
-    /// Rendering progress for the slices a clear packet touches.
-    fn render_progress(&mut self, packet_idx: usize) -> Vec<ClientEvent> {
+    /// The document from the `M` intact packets held: the clear text
+    /// as it lies in the packet buffer, or a decode that borrows every
+    /// held packet from it.
+    fn reconstruct(&self) -> Option<Payload> {
+        if (0..self.header.m).all(|i| self.state.has(i)) {
+            return Some(Payload::Clear);
+        }
+        let mut held: Vec<(usize, &[u8])> = Vec::with_capacity(self.state.intact_count());
+        held.extend(
+            self.packets
+                .chunks_exact(self.header.packet_size)
+                .enumerate()
+                .filter(|(i, _)| self.state.has(*i)),
+        );
+        let bytes = self.codec.decode(&held, self.header.doc_len).ok()?;
+        Some(Payload::Decoded(bytes))
+    }
+
+    /// Rendering progress for the slices clear packet `packet_idx`
+    /// overlaps, found by binary search over the slice ranges.
+    fn render_progress(&mut self, packet_idx: usize) {
         let lo = packet_idx * self.header.packet_size;
-        let hi = ((packet_idx + 1) * self.header.packet_size).min(self.header.doc_len);
-        let mut events = Vec::new();
-        for (i, range) in self.header.plan.slice_ranges().iter().enumerate() {
+        let hi = (lo + self.header.packet_size).min(self.header.doc_len);
+        let first = self.slices.partition_point(|range| range.end <= lo);
+        for (i, range) in self.slices.iter().enumerate().skip(first) {
+            if range.start >= hi {
+                break;
+            }
             let overlap = hi.min(range.end).saturating_sub(lo.max(range.start));
-            if overlap == 0 || range.is_empty() {
-                continue;
+            if overlap == 0 {
+                continue; // an empty slice
             }
             self.slice_have[i] += overlap;
-            let fraction = self.slice_have[i] as f64 / (range.end - range.start) as f64;
+            let fraction = (self.slice_have[i] as f64 / range.len() as f64).min(1.0);
             // a = slice index in plan order, b = basis points complete.
             emit(
                 EventKind::SliceProgress,
                 i as u64,
-                (fraction.min(1.0) * 10_000.0) as u64,
+                (fraction * 10_000.0) as u64,
             );
-            events.push(ClientEvent::SliceProgress {
-                label: self.header.plan.slices()[i].label.clone(),
-                fraction: fraction.min(1.0),
-            });
+            self.events
+                .push(ClientEvent::SliceProgress { slice: i, fraction });
         }
-        events
     }
 
     /// Protocol bookkeeping (intact counts, content, missing packets).
@@ -470,15 +537,34 @@ impl LiveClient {
 
     /// The reconstructed payload, once available.
     pub fn document_bytes(&self) -> Option<&[u8]> {
-        self.reconstructed.as_deref()
+        match &self.payload {
+            Payload::Pending => None,
+            Payload::Clear => self.packets.get(..self.header.doc_len),
+            Payload::Decoded(bytes) => Some(bytes),
+        }
+    }
+
+    /// Ends the receive: the header back, and the reconstructed payload
+    /// if there is one, moved out rather than copied (the packet buffer
+    /// itself when the clear text sufficed).
+    pub fn into_parts(self) -> (DocumentHeader, Option<Vec<u8>>) {
+        let bytes = match self.payload {
+            Payload::Pending => None,
+            Payload::Clear => {
+                let mut packets = self.packets;
+                packets.truncate(self.header.doc_len);
+                Some(packets)
+            }
+            Payload::Decoded(bytes) => Some(bytes),
+        };
+        (self.header, bytes)
     }
 
     /// Discards all packet state (NoCaching reload).
     pub fn reset(&mut self) {
         self.state.reset_packets();
-        self.packets.iter_mut().for_each(|p| *p = None);
-        self.slice_have.iter_mut().for_each(|b| *b = 0);
-        self.reconstructed = None;
+        self.slice_have.fill(0);
+        self.payload = Payload::Pending;
     }
 }
 
@@ -615,10 +701,8 @@ pub fn run_transfer(
         match wire {
             Wire::Frame(bytes) => {
                 let new_events = client.on_wire(&bytes);
-                let reconstructed = new_events
-                    .iter()
-                    .any(|e| matches!(e, ClientEvent::Reconstructed));
-                events.extend(new_events);
+                let reconstructed = new_events.contains(&ClientEvent::Reconstructed);
+                events.extend_from_slice(new_events);
                 if reconstructed {
                     completed = true;
                     let _ = ctl_tx.send(Control::Done);
@@ -655,16 +739,14 @@ pub fn run_transfer(
         .join()
         .map_err(|_| TransportError::ServerPanicked)?;
     emit(EventKind::TransferEnd, u64::from(completed), rounds as u64);
+    let frames_corrupted = client.state().corrupted();
     Ok(TransferReport {
         completed,
         stopped_early,
         rounds,
         frames_sent,
-        frames_corrupted: client.state().corrupted(),
-        payload: client
-            .document_bytes()
-            .map(<[u8]>::to_vec)
-            .unwrap_or_default(),
+        frames_corrupted,
+        payload: client.into_parts().1.unwrap_or_default(),
         events,
         requests,
         fault_events,
@@ -718,6 +800,7 @@ fn serve<L: LossModel>(
 mod tests {
     use super::*;
     use mrtweb_content::query::Query;
+    use mrtweb_erasure::packet::Frame;
     use mrtweb_textproc::pipeline::ScPipeline;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
@@ -836,12 +919,15 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut last = std::collections::HashMap::<String, f64>::new();
+        let mut last = std::collections::HashMap::<usize, f64>::new();
         for e in &report.events {
-            if let ClientEvent::SliceProgress { label, fraction } = e {
-                let prev = last.insert(label.clone(), *fraction).unwrap_or(0.0);
-                assert!(*fraction >= prev, "progress went backwards for {label}");
-                assert!(*fraction <= 1.0 + 1e-12);
+            if let ClientEvent::SliceProgress { slice, fraction } = *e {
+                let prev = last.insert(slice, fraction).unwrap_or(0.0);
+                assert!(
+                    fraction >= prev,
+                    "progress went backwards for slice {slice}"
+                );
+                assert!(fraction <= 1.0 + 1e-12);
             }
         }
         assert!(!last.is_empty(), "rendering events must be emitted");
@@ -850,7 +936,6 @@ mod tests {
     #[test]
     fn qic_ordering_renders_matching_section_first() {
         let srv = server(Lod::Section, 1.5);
-        let first_label = srv.header().plan.slices()[0].label.clone();
         let report = try_run(
             srv,
             &TransferConfig {
@@ -858,11 +943,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        let first_event = report.events.iter().find_map(|e| match e {
-            ClientEvent::SliceProgress { label, .. } => Some(label.clone()),
+        // Slice 0 of the plan is the section the query ranked first.
+        let first_event = report.events.iter().find_map(|e| match *e {
+            ClientEvent::SliceProgress { slice, .. } => Some(slice),
             ClientEvent::Reconstructed => None,
         });
-        assert_eq!(first_event.as_deref(), Some(first_label.as_str()));
+        assert_eq!(first_event, Some(0));
     }
 
     #[test]
@@ -1024,6 +1110,60 @@ mod tests {
             }
         });
         assert_eq!(SEALS.load(Ordering::SeqCst), n - 1);
+    }
+
+    #[test]
+    fn headers_that_disagree_with_their_plan_are_refused() {
+        use crate::plan::UnitSlice;
+        let header = |doc_len, m| DocumentHeader {
+            doc_len,
+            m,
+            n: 30,
+            packet_size: 4,
+            plan: TransmissionPlan::sequential(vec![UnitSlice::new("1", 100, 1.0)]),
+        };
+        assert!(LiveClient::new(header(100, 25)).is_ok());
+        // M = 2 for a 100-byte plan at 4-byte packets: the plan needs 25.
+        // A doc_len past M · packet_size could never reconstruct.
+        for (doc_len, m) in [(100, 2), (99, 25), (101, 25), (1000, 25)] {
+            assert!(
+                matches!(
+                    LiveClient::new(header(doc_len, m)),
+                    Err(TransportError::BadHeader(_))
+                ),
+                "doc_len {doc_len}, M {m}"
+            );
+        }
+        let mut overflowing = header(100, 25);
+        overflowing.plan = TransmissionPlan::sequential(vec![
+            UnitSlice::new("1", usize::MAX, 0.5),
+            UnitSlice::new("2", 101, 0.5),
+        ]);
+        assert!(matches!(
+            LiveClient::new(overflowing),
+            Err(TransportError::BadHeader(_))
+        ));
+    }
+
+    #[test]
+    fn parity_reconstruction_matches_the_clear_text() {
+        let srv = server(Lod::Paragraph, 1.5);
+        let (m, n) = (srv.header().m, srv.header().n);
+        let mut clear = LiveClient::new(srv.header().clone()).unwrap();
+        let mut mixed = LiveClient::new(srv.header().clone()).unwrap();
+        for i in 0..m {
+            clear.on_wire(srv.frame_bytes(i).unwrap());
+        }
+        // Lose clear packet 0; a parity packet stands in for it.
+        for i in (1..m).chain([n - 1]) {
+            let events = mixed.on_wire(srv.frame_bytes(i).unwrap());
+            assert_eq!(events.contains(&ClientEvent::Reconstructed), i == n - 1);
+        }
+        assert!(clear.document_bytes().is_some());
+        assert_eq!(clear.document_bytes(), mixed.document_bytes());
+        let (header, payload) = mixed.into_parts();
+        assert_eq!(&header, srv.header());
+        assert_eq!(payload.as_deref(), clear.document_bytes());
     }
 
     #[test]

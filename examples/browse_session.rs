@@ -50,6 +50,13 @@ fn run(alpha: f64, cache: CacheMode, label: &str) {
         server.header().n,
         server.header().plan.slices().len()
     );
+    let labels: Vec<String> = server
+        .header()
+        .plan
+        .slices()
+        .iter()
+        .map(|s| s.label.clone())
+        .collect();
     let report = run_transfer(
         server,
         &TransferConfig {
@@ -60,13 +67,13 @@ fn run(alpha: f64, cache: CacheMode, label: &str) {
         },
     )
     .unwrap();
-    let mut rendered: Vec<String> = Vec::new();
+    let mut rendered: Vec<&str> = Vec::new();
     for event in &report.events {
-        match event {
-            ClientEvent::SliceProgress { label, fraction }
-                if *fraction >= 1.0 && !rendered.contains(label) =>
+        match *event {
+            ClientEvent::SliceProgress { slice, fraction }
+                if fraction >= 1.0 && !rendered.contains(&labels[slice].as_str()) =>
             {
-                rendered.push(label.clone());
+                rendered.push(&labels[slice]);
             }
             ClientEvent::Reconstructed => {
                 println!("  [render] full document reconstructed");

@@ -332,13 +332,7 @@ fn live_layer(
         }
     };
     let n = server.header().n;
-    let slice_labels: Vec<String> = server
-        .header()
-        .plan
-        .slices()
-        .iter()
-        .map(|s| s.label.clone())
-        .collect();
+    let slices = server.header().plan.slices().len();
     let report = match run_transfer(
         server,
         &TransferConfig {
@@ -392,19 +386,19 @@ fn live_layer(
 
     // Invariant 5: SliceProgress monotone per slice, in-bounds, and only
     // for planned slices.
-    let mut last = std::collections::HashMap::<&str, f64>::new();
+    let mut last = std::collections::HashMap::<usize, f64>::new();
     for e in &report.events {
-        if let ClientEvent::SliceProgress { label, fraction } = e {
-            h.check(slice_labels.iter().any(|l| l == label), || {
-                format!("live[{cache_mode:?}]: progress for unplanned slice {label:?}")
+        if let ClientEvent::SliceProgress { slice, fraction } = *e {
+            h.check(slice < slices, || {
+                format!("live[{cache_mode:?}]: progress for unplanned slice {slice}")
             });
-            h.check((0.0..=1.0 + 1e-12).contains(fraction), || {
-                format!("live[{cache_mode:?}]: fraction {fraction} out of bounds for {label}")
+            h.check((0.0..=1.0 + 1e-12).contains(&fraction), || {
+                format!("live[{cache_mode:?}]: fraction {fraction} out of bounds for slice {slice}")
             });
-            let prev = last.insert(label.as_str(), *fraction).unwrap_or(0.0);
-            h.check(*fraction >= prev, || {
+            let prev = last.insert(slice, fraction).unwrap_or(0.0);
+            h.check(fraction >= prev, || {
                 format!(
-                    "live[{cache_mode:?}]: progress went backwards for {label}: \
+                    "live[{cache_mode:?}]: progress went backwards for slice {slice}: \
                      {prev} -> {fraction}"
                 )
             });
